@@ -13,33 +13,41 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, random_graph, random_tree, serialize_edge_list
 from .rng import SplitMix64
-from .solvers import (
-    _resolve_limit,
-    i2rdn,
-    idn,
-    idrdn,
-    ir2dn,
-    max_matching,
-    min_edge_cover,
-    packing_number,
+from .solvers import _resolve_limit, compute_invariants
+
+# Every bound record in report order: (name, anchor, applicability, relation).
+_RECORDS = (
+    ("B1-lower", "3*ir2dn <= 2*idrdn", "any", "<="),
+    ("B1-upper", "idrdn <= 2*ir2dn", "any", "<="),
+    ("B2", "ir2dn < idrdn", "any", "<"),
+    ("B3", "idrdn <= 2*i2rdn", "any", "<="),
+    ("B4", "ir2dn + idn <= idrdn", "connected", "<="),
+    ("B5", "idrdn <= ir2dn + min_edge_cover", "no isolated vertices", "<="),
+    ("B6-lower", "2*idn <= idrdn", "any", "<="),
+    ("B6-upper", "idrdn <= 3*idn", "any", "<="),
+    ("B7", "idrdn + (2*min_degree - 1)*packing <= 2*order", "connected", "<="),
+    ("B8", "2*order + (max_degree - 2)*idn <= max_degree*idrdn", "max degree >= 1", "<="),
+    ("B9", "idn + 1 <= ir2dn", "tree of order >= 2", "<="),
+    ("B10-lower", "2*idn + 1 <= idrdn", "tree of order >= 2", "<="),
+    ("B10-upper", "idrdn <= 3*idn", "tree of order >= 2", "<="),
+    ("B11", "max_matching + min_edge_cover = order", "no isolated vertices", "="),
+    ("B12", "(idrdn == 3) = (max_degree == order - 1)", "order >= 2", "="),
 )
 
-BOUND_NAMES = (
-    "B1-lower",
-    "B1-upper",
-    "B2",
-    "B3",
-    "B4",
-    "B5",
-    "B6-lower",
-    "B6-upper",
-    "B7",
-    "B8",
-    "B9",
-    "B10-lower",
-    "B10-upper",
-    "B11",
-    "B12",
+BOUND_NAMES = tuple(record[0] for record in _RECORDS)
+
+# The invariants the records are written in.
+_BOUND_INVARIANTS = (
+    "order",
+    "max_degree",
+    "min_degree",
+    "idn",
+    "ir2dn",
+    "i2rdn",
+    "idrdn",
+    "packing",
+    "max_matching",
+    "min_edge_cover",
 )
 
 GRAPH_CLASSES = ("general", "connected", "tree")
@@ -113,130 +121,51 @@ def check_bounds(g: Graph, size_limit: int | None = None) -> list:
     """Evaluate every known bound record on g (order >= 1)."""
     if g.n == 0:
         raise ValueError("bound checks need at least one vertex")
-    n = g.n
-    delta = g.min_degree()
-    big_delta = g.max_degree()
-    i_val = idn(g, size_limit)[0]
-    ir2 = ir2dn(g, size_limit)[0]
-    i2r = i2rdn(g, size_limit)[0]
-    idr = idrdn(g, size_limit)[0]
-    rho = packing_number(g, size_limit)[0]
-    alpha_p = max_matching(g)
-    isolated = g.has_isolated_vertex()
-    beta_p = None if isolated else min_edge_cover(g)
-    connected = g.is_connected()
-    tree = g.is_tree()
-
-    out = [
-        _evaluated("B1-lower", "3*ir2dn <= 2*idrdn", "any", "<=", 3 * ir2, 2 * idr),
-        _evaluated("B1-upper", "idrdn <= 2*ir2dn", "any", "<=", idr, 2 * ir2),
-        _evaluated("B2", "ir2dn < idrdn", "any", "<", ir2, idr),
-        _evaluated("B3", "idrdn <= 2*i2rdn", "any", "<=", idr, 2 * i2r),
-    ]
-    if connected:
-        out.append(
-            _evaluated("B4", "ir2dn + idn <= idrdn", "connected", "<=", ir2 + i_val, idr)
-        )
-    else:
-        out.append(
-            _skipped("B4", "ir2dn + idn <= idrdn", "connected", "<=", "graph is disconnected")
-        )
-    if isolated:
-        out.append(
-            _skipped(
-                "B5",
-                "idrdn <= ir2dn + min_edge_cover",
-                "no isolated vertices",
-                "<=",
-                "graph has an isolated vertex",
-            )
-        )
-    else:
-        out.append(
-            _evaluated(
-                "B5",
-                "idrdn <= ir2dn + min_edge_cover",
-                "no isolated vertices",
-                "<=",
-                idr,
-                ir2 + beta_p,
-            )
-        )
-    out.append(_evaluated("B6-lower", "2*idn <= idrdn", "any", "<=", 2 * i_val, idr))
-    out.append(_evaluated("B6-upper", "idrdn <= 3*idn", "any", "<=", idr, 3 * i_val))
-    b7_anchor = "idrdn + (2*min_degree - 1)*packing <= 2*order"
-    if connected:
-        out.append(
-            _evaluated("B7", b7_anchor, "connected", "<=", idr + (2 * delta - 1) * rho, 2 * n)
-        )
-    else:
-        out.append(_skipped("B7", b7_anchor, "connected", "<=", "graph is disconnected"))
-    b8_anchor = "2*order + (max_degree - 2)*idn <= max_degree*idrdn"
-    if big_delta >= 1:
-        out.append(
-            _evaluated(
-                "B8",
-                b8_anchor,
-                "max degree >= 1",
-                "<=",
-                2 * n + (big_delta - 2) * i_val,
-                big_delta * idr,
-            )
-        )
-    else:
-        out.append(_skipped("B8", b8_anchor, "max degree >= 1", "<=", "graph has no edges"))
+    table = compute_invariants(g, _BOUND_INVARIANTS, size_limit=size_limit)
+    e = table.entries
+    n, delta, big_delta = e["order"], e["min_degree"], e["max_degree"]
+    i_val, ir2, i2r, idr = e["idn"], e["ir2dn"], e["i2rdn"], e["idrdn"]
+    rho, alpha_p = e["packing"], e["max_matching"]
+    isolated = "min_edge_cover" in table.not_applicable
+    # Only read by the "no isolated vertices" records, which are skipped then.
+    beta_p = e.get("min_edge_cover", 0)
     tree_reason = None
-    if not tree:
+    if not g.is_tree():
         tree_reason = "not a tree"
     elif n < 2:
         tree_reason = "single-vertex tree"
-    if tree_reason is None:
-        out.append(
-            _evaluated("B9", "idn + 1 <= ir2dn", "tree of order >= 2", "<=", i_val + 1, ir2)
-        )
-        out.append(
-            _evaluated(
-                "B10-lower", "2*idn + 1 <= idrdn", "tree of order >= 2", "<=", 2 * i_val + 1, idr
-            )
-        )
-        out.append(
-            _evaluated("B10-upper", "idrdn <= 3*idn", "tree of order >= 2", "<=", idr, 3 * i_val)
-        )
-    else:
-        out.append(_skipped("B9", "idn + 1 <= ir2dn", "tree of order >= 2", "<=", tree_reason))
-        out.append(
-            _skipped("B10-lower", "2*idn + 1 <= idrdn", "tree of order >= 2", "<=", tree_reason)
-        )
-        out.append(
-            _skipped("B10-upper", "idrdn <= 3*idn", "tree of order >= 2", "<=", tree_reason)
-        )
-    b11_anchor = "max_matching + min_edge_cover = order"
-    if isolated:
-        out.append(
-            _skipped(
-                "B11", b11_anchor, "no isolated vertices", "=", "graph has an isolated vertex"
-            )
-        )
-    else:
-        out.append(
-            _evaluated(
-                "B11", b11_anchor, "no isolated vertices", "=", alpha_p + beta_p, n
-            )
-        )
-    b12_anchor = "(idrdn == 3) = (max_degree == order - 1)"
-    if n >= 2:
-        out.append(
-            _evaluated(
-                "B12",
-                b12_anchor,
-                "order >= 2",
-                "=",
-                int(idr == 3),
-                int(big_delta == n - 1),
-            )
-        )
-    else:
-        out.append(_skipped("B12", b12_anchor, "order >= 2", "=", "single-vertex graph"))
+    skip_reasons = {
+        "any": None,
+        "connected": None if g.is_connected() else "graph is disconnected",
+        "no isolated vertices": "graph has an isolated vertex" if isolated else None,
+        "max degree >= 1": None if big_delta >= 1 else "graph has no edges",
+        "tree of order >= 2": tree_reason,
+        "order >= 2": None if n >= 2 else "single-vertex graph",
+    }
+    sides = {
+        "B1-lower": (3 * ir2, 2 * idr),
+        "B1-upper": (idr, 2 * ir2),
+        "B2": (ir2, idr),
+        "B3": (idr, 2 * i2r),
+        "B4": (ir2 + i_val, idr),
+        "B5": (idr, ir2 + beta_p),
+        "B6-lower": (2 * i_val, idr),
+        "B6-upper": (idr, 3 * i_val),
+        "B7": (idr + (2 * delta - 1) * rho, 2 * n),
+        "B8": (2 * n + (big_delta - 2) * i_val, big_delta * idr),
+        "B9": (i_val + 1, ir2),
+        "B10-lower": (2 * i_val + 1, idr),
+        "B10-upper": (idr, 3 * i_val),
+        "B11": (alpha_p + beta_p, n),
+        "B12": (int(idr == 3), int(big_delta == n - 1)),
+    }
+    out = []
+    for name, anchor, applicability, relation in _RECORDS:
+        reason = skip_reasons[applicability]
+        if reason is None:
+            out.append(_evaluated(name, anchor, applicability, relation, *sides[name]))
+        else:
+            out.append(_skipped(name, anchor, applicability, relation, reason))
     return out
 
 

@@ -9,7 +9,8 @@ or of the canonical parameter text (family/realize/fuzz).  Table output is
 human-oriented and may change.
 
 Exit codes: 0 success; 1 fuzz found violations; 2 input error (unparsable
-edge list or spec text, unknown invariant name, bad flags); 3 exact-solver
+edge list or spec text, unknown invariant name, bad flags, non-integer
+IDRD_SIZE_LIMIT); 3 exact-solver
 size limit exceeded (IDRD_SIZE_LIMIT overrides the default of 24); 4
 domain error (no closed form, non-tree classify, inadmissible pair).
 """
@@ -31,10 +32,9 @@ from .graph import EdgeListParseError, parse_edge_list, serialize_edge_list
 from .labelings import DRLabeling, R2Labeling, RainbowLabeling
 from .solvers import (
     SizeLimitError,
+    _resolve_limit,
     compute_invariants,
-    idn,
     idrdn,
-    ir2dn,
 )
 
 SCHEMA_VERSION = "1"
@@ -99,7 +99,7 @@ def _cmd_solve(args) -> int:
         return _error(EXIT_INPUT, str(exc))
     names = args.invariants.split(",") if args.invariants else None
     try:
-        table = compute_invariants(g, names)
+        table = compute_invariants(g, names, size_limit=args.size_limit)
     except SizeLimitError as exc:
         return _error(EXIT_SIZE, str(exc))
     except ValueError as exc:
@@ -138,7 +138,7 @@ def _cmd_family(args) -> int:
             return _error(EXIT_DOMAIN, str(exc))
     if args.mode in ("solve", "both"):
         try:
-            payload["solver"] = idrdn(generate(spec))[0]
+            payload["solver"] = idrdn(generate(spec), size_limit=args.size_limit)[0]
         except SizeLimitError as exc:
             return _error(EXIT_SIZE, str(exc))
     if args.mode == "both":
@@ -164,9 +164,10 @@ def _cmd_classify(args) -> int:
     except ValueError as exc:
         return _error(EXIT_DOMAIN, str(exc))
     try:
-        diff = ir2dn(g)[0] - idn(g)[0]
+        values = compute_invariants(g, ["idn", "ir2dn"], size_limit=args.size_limit).entries
     except SizeLimitError as exc:
         return _error(EXIT_SIZE, str(exc))
+    diff = values["ir2dn"] - values["idn"]
     digest = _digest(serialize_edge_list(g))
     payload = {
         "membership": result.membership,
@@ -192,10 +193,10 @@ def _cmd_realize(args) -> int:
     except ValueError as exc:
         return _error(EXIT_DOMAIN, str(exc))
     try:
-        got_a = idn(t)[0]
-        got_b = idrdn(t)[0]
+        values = compute_invariants(t, ["idn", "idrdn"], size_limit=args.size_limit).entries
     except SizeLimitError as exc:
         return _error(EXIT_SIZE, str(exc))
+    got_a, got_b = values["idn"], values["idrdn"]
     text = serialize_edge_list(t)
     if args.out:
         try:
@@ -232,7 +233,7 @@ def _cmd_bounds(args) -> int:
     except (OSError, EdgeListParseError) as exc:
         return _error(EXIT_INPUT, str(exc))
     try:
-        records = check_bounds(g)
+        records = check_bounds(g, size_limit=args.size_limit)
     except SizeLimitError as exc:
         return _error(EXIT_SIZE, str(exc))
     except ValueError as exc:
@@ -262,6 +263,7 @@ def _cmd_fuzz(args) -> int:
             args.trials,
             (args.p_min, args.p_max),
             args.seed,
+            size_limit=args.size_limit,
         )
     except ValueError as exc:
         return _error(EXIT_INPUT, str(exc))
@@ -360,8 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        args.size_limit = _resolve_limit(None)
+    except ValueError as exc:
+        return _error(EXIT_INPUT, str(exc))
     return args.func(args)
 
 
 def entry() -> None:
     sys.exit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    entry()

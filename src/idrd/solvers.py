@@ -1,7 +1,9 @@
 """Exact solvers for domination-type invariants.
 
-Core reduction
---------------
+Every exponential-time number comes from one of two search cores.
+
+One pass over the maximal independent sets
+------------------------------------------
 For the independent variants, the positive vertices of a valid labeling form
 an independent set that must also dominate (every 0/∅ vertex needs a
 positively labeled neighbor), i.e. a *maximal* independent set.  Conversely,
@@ -13,24 +15,37 @@ the weak labels already suffice for the double Roman and Roman {2} rules.
 Writing forced(S) for the set of vertices of S that are the unique S-neighbor
 of some outside vertex, the optimum over labelings with positive set S is
 
-    i_dR:   2|S| + |forced(S)|     (3 on forced(S), 2 on the rest of S)
-    i_R2:    |S| + |forced(S)|     (2 on forced(S), 1 on the rest of S)
+    weak·|S| + (strong − weak)·|forced(S)|
 
-and the global optimum is the minimum over all maximal independent sets.
-The rainbow variant also pins {1,2} on forced(S), but outside vertices with
+with (weak, strong) = (1, 1) for i, (1, 2) for i_R2 and (2, 3) for i_dR, and
+the global optimum is the minimum over all maximal independent sets.  The
+rainbow variant also pins {1,2} on forced(S), but outside vertices with
 several S-neighbors additionally need both colors present, so the remaining
 members are labeled by a small exact backtracking over {1},{2},{1,2}.
 No vertex of S ever takes the value 1 in an optimal independent double Roman
 labeling: a 1-vertex would need a neighbor labeled >= 2, contradicting
-independence of the positive set.
+independence of the positive set.  `_mis_pass` enumerates the sets once and
+computes forced(S) once per set for every requested number.
 
+One threshold branch and bound
+------------------------------
 The plain (non-independent) numbers γ, γ_{R2}, γ_{dR} have no such
-decomposition and are solved by depth-first branch and bound: γ branches on
-the dominators of a most-constrained undominated vertex, γ_{R2} and γ_{dR}
-assign labels vertex by vertex in BFS order, all three pruned by a fractional
-lower bound computed from the vertices whose demands are not yet met (each
+decomposition.  Each is a threshold labeling problem: labels from a set L,
+and every 0-vertex needs the labels of its neighbors to sum to at least k,
+
+    γ:      L = {0, 1},     k = 1
+    γ_R2:   L = {0, 1, 2},  k = 2
+    γ_dR:   L = {0, 2, 3},  k = 3
+
+For γ_dR this rests on Beeler, Haynes & Hedetniemi, "Double Roman
+domination", Discrete Appl. Math. 211 (2016): some minimum double Roman
+dominating function assigns no vertex the value 1, and with labels in {2, 3}
+"a 3-neighbor or two 2-neighbors" is exactly "neighbor sum >= 3".
+`_threshold_search` assigns labels vertex by vertex in BFS order, pruned by
+a fractional lower bound computed from the vertices not yet defended (each
 future weight unit placed at a vertex can serve at most 1+Δ closed-neighbor
-demands).  The independent variants provide valid starting incumbents.
+demands).  The corresponding independent number provides the starting
+incumbent.
 
 Exact exponential solvers refuse graphs larger than 24 vertices unless the
 IDRD_SIZE_LIMIT environment variable (or the `size_limit` argument) raises
@@ -73,9 +88,12 @@ def _resolve_limit(size_limit: int | None) -> int:
     if size_limit is not None:
         return int(size_limit)
     env = os.environ.get("IDRD_SIZE_LIMIT")
-    if env is not None:
+    if env is None:
+        return DEFAULT_SIZE_LIMIT
+    try:
         return int(env)
-    return DEFAULT_SIZE_LIMIT
+    except ValueError:
+        raise ValueError(f"IDRD_SIZE_LIMIT must be an integer, got {env!r}") from None
 
 
 def _guard(g: Graph, size_limit: int | None) -> None:
@@ -170,55 +188,11 @@ def forced_threes(g: Graph, s) -> frozenset:
 
 
 # ---------------------------------------------------------------------------
-# independent variants (exact via the reduction)
+# independent variants: one pass over the maximal independent sets
 # ---------------------------------------------------------------------------
 
-
-def idrdn(g: Graph, size_limit: int | None = None) -> tuple[int, DRLabeling]:
-    """Independent double Roman domination number with an optimal labeling."""
-    _guard(g, size_limit)
-    _require_vertices(g)
-    best = None  # (weight, sorted positive tuple, forced set)
-    for s in maximal_independent_sets(g):
-        forced = _forced_positives(g, s)
-        key = (2 * len(s) + len(forced), tuple(sorted(s)))
-        if best is None or key < best[:2]:
-            best = (key[0], key[1], forced)
-    weight, members, forced = best
-    vals = [0] * g.n
-    for v in members:
-        vals[v] = 3 if v in forced else 2
-    return weight, DRLabeling(vals)
-
-
-def idn(g: Graph, size_limit: int | None = None) -> tuple[int, frozenset]:
-    """Independent domination number with a minimum maximal independent set."""
-    _guard(g, size_limit)
-    _require_vertices(g)
-    best = None
-    for s in maximal_independent_sets(g):
-        key = (len(s), tuple(sorted(s)))
-        if best is None or key < best:
-            best = key
-    return best[0], frozenset(best[1])
-
-
-def ir2dn(g: Graph, size_limit: int | None = None) -> tuple[int, R2Labeling]:
-    """Independent Roman {2} domination number with an optimal labeling."""
-    _guard(g, size_limit)
-    _require_vertices(g)
-    best = None
-    for s in maximal_independent_sets(g):
-        forced = _forced_positives(g, s)
-        key = (len(s) + len(forced), tuple(sorted(s)))
-        if best is None or key < best[:2]:
-            best = (key[0], key[1], forced)
-    weight, members, forced = best
-    vals = [0] * g.n
-    for v in members:
-        vals[v] = 2 if v in forced else 1
-    return weight, R2Labeling(vals)
-
+# (weak, strong) labels of the independent numbers with a closed form per set.
+_MIS_WEIGHTS = {"idn": (1, 1), "ir2dn": (1, 2), "idrdn": (2, 3)}
 
 _RAINBOW_CHOICES = (
     (1, 0, frozenset((1,))),
@@ -227,98 +201,126 @@ _RAINBOW_CHOICES = (
 )
 
 
-def i2rdn(g: Graph, size_limit: int | None = None) -> tuple[int, RainbowLabeling]:
-    """Independent 2-rainbow domination number with an optimal labeling.
+def _rainbow_completion(g: Graph, s: frozenset, forced: set, limit):
+    """Cheapest 2-rainbow labels on the maximal independent set s.
 
-    Per maximal independent set: forced members take {1,2}; the rest are
-    assigned by exact backtracking over {1},{2},{1,2} against the
-    both-colors-visible constraints of the outside vertices.
+    Forced members take {1,2}; the rest are assigned by exact backtracking
+    over {1},{2},{1,2} against the both-colors-visible constraints of the
+    outside vertices.  Returns (weight, {member: label set}), or None when
+    no completion weighs at most `limit`.
     """
-    _guard(g, size_limit)
-    _require_vertices(g)
-    best_w = None
-    best_s = None
-    best_labels = None
+    base = len(s) + len(forced)
+    constraints = []
+    seen = set()
+    for v in range(g.n):
+        if v in s:
+            continue
+        pos_nb = tuple(u for u in g.adjacency(v) if u in s)
+        if any(u in forced for u in pos_nb):
+            continue
+        if pos_nb not in seen:
+            seen.add(pos_nb)
+            constraints.append(pos_nb)
+    labels = {u: frozenset((1, 2)) if u in forced else frozenset((1,)) for u in sorted(s)}
+    if not constraints:
+        return base, labels
+    relevant = sorted({u for c in constraints for u in c})
+    ridx = {u: k for k, u in enumerate(relevant)}
+    member_of = [[] for _ in relevant]
+    rem = []
+    for ci, c in enumerate(constraints):
+        rem.append(len(c))
+        for u in c:
+            member_of[ridx[u]].append(ci)
+    c1 = [0] * len(constraints)
+    c2 = [0] * len(constraints)
+    chosen = [None] * len(relevant)
+    found = [None]  # (total, labels tuple)
+
+    def dfs(k: int, extra: int) -> None:
+        if k == len(relevant):
+            total = base + extra
+            if found[0] is None or total < found[0][0]:
+                found[0] = (total, tuple(chosen))
+            return
+        for d1, d2, lab in _RAINBOW_CHOICES:
+            ex2 = extra + (len(lab) - 1)
+            if base + ex2 > limit:
+                continue
+            if found[0] is not None and base + ex2 >= found[0][0]:
+                continue
+            ok = True
+            for ci in member_of[k]:
+                rem[ci] -= 1
+                c1[ci] += d1
+                c2[ci] += d2
+                if rem[ci] == 0 and (c1[ci] == 0 or c2[ci] == 0):
+                    ok = False
+            if ok:
+                chosen[k] = lab
+                dfs(k + 1, ex2)
+            for ci in member_of[k]:
+                rem[ci] += 1
+                c1[ci] -= d1
+                c2[ci] -= d2
+
+    dfs(0, 0)
+    if found[0] is None:
+        return None
+    total, assignment = found[0]
+    for k, u in enumerate(relevant):
+        labels[u] = assignment[k]
+    return total, labels
+
+
+def _mis_pass(g: Graph, names) -> dict:
+    """Optimal (weight, label per vertex) of each requested independent number.
+
+    One scan of the maximal independent sets serves idn, ir2dn, idrdn and
+    i2rdn alike.  Ties go to the lexicographically smallest sorted positive
+    set.  The rainbow completion is skipped for a set whose forced weight
+    |S| + |forced(S)| already exceeds the best rainbow weight so far.
+    """
+    weighted = [(name, *_MIS_WEIGHTS[name]) for name in _MIS_WEIGHTS if name in names]
+    rainbow = "i2rdn" in names
+    need_forced = rainbow or any(weak != strong for _, weak, strong in weighted)
+    # name -> (weight, sorted positive set, {member: label})
+    best = {
+        name: (float("inf"), (), {})
+        for name in ("idn", "ir2dn", "i2rdn", "idrdn")
+        if name in names
+    }
     for s in maximal_independent_sets(g):
-        forced = _forced_positives(g, s)
-        s_sorted = tuple(sorted(s))
-        base = len(s) + len(forced)
-        if best_w is not None and base > best_w:
-            continue
-        constraints = []
-        seen = set()
-        for v in range(g.n):
-            if v in s:
-                continue
-            pos_nb = tuple(u for u in g.adjacency(v) if u in s)
-            if any(u in forced for u in pos_nb):
-                continue
-            if pos_nb not in seen:
-                seen.add(pos_nb)
-                constraints.append(pos_nb)
-        labels = {u: frozenset((1, 2)) if u in forced else frozenset((1,)) for u in s_sorted}
-        if not constraints:
-            if best_w is None or (base, s_sorted) < (best_w, best_s):
-                best_w, best_s, best_labels = base, s_sorted, labels
-            continue
-        relevant = sorted({u for c in constraints for u in c})
-        ridx = {u: k for k, u in enumerate(relevant)}
-        member_of = [[] for _ in relevant]
-        rem = []
-        for ci, c in enumerate(constraints):
-            rem.append(len(c))
-            for u in c:
-                member_of[ridx[u]].append(ci)
-        c1 = [0] * len(constraints)
-        c2 = [0] * len(constraints)
-        limit = best_w
-        chosen = [None] * len(relevant)
-        found = [None]  # (total, labels tuple)
-
-        def dfs(k: int, extra: int) -> None:
-            if k == len(relevant):
-                total = base + extra
-                if found[0] is None or total < found[0][0]:
-                    found[0] = (total, tuple(chosen))
-                return
-            for d1, d2, lab in _RAINBOW_CHOICES:
-                ex2 = extra + (len(lab) - 1)
-                if limit is not None and base + ex2 > limit:
-                    continue
-                if found[0] is not None and base + ex2 >= found[0][0]:
-                    continue
-                ok = True
-                for ci in member_of[k]:
-                    rem[ci] -= 1
-                    c1[ci] += d1
-                    c2[ci] += d2
-                    if rem[ci] == 0 and (c1[ci] == 0 or c2[ci] == 0):
-                        ok = False
-                if ok:
-                    chosen[k] = lab
-                    dfs(k + 1, ex2)
-                for ci in member_of[k]:
-                    rem[ci] += 1
-                    c1[ci] -= d1
-                    c2[ci] -= d2
-
-        dfs(0, 0)
-        if found[0] is None:
-            continue
-        total, assignment = found[0]
-        if best_w is None or (total, s_sorted) < (best_w, best_s):
-            for k, u in enumerate(relevant):
-                labels[u] = assignment[k]
-            best_w, best_s, best_labels = total, s_sorted, labels
-    vals = [frozenset()] * g.n
-    for u, lab in best_labels.items():
-        vals[u] = lab
-    return best_w, RainbowLabeling(vals)
+        forced = _forced_positives(g, s) if need_forced else set()
+        members = tuple(sorted(s))
+        for name, weak, strong in weighted:
+            key = (weak * len(s) + (strong - weak) * len(forced), members)
+            if key < best[name][:2]:
+                best[name] = (*key, {u: strong if u in forced else weak for u in members})
+        if rainbow and len(s) + len(forced) <= best["i2rdn"][0]:
+            found = _rainbow_completion(g, s, forced, best["i2rdn"][0])
+            if found is not None and (found[0], members) < best["i2rdn"][:2]:
+                best["i2rdn"] = (found[0], members, found[1])
+    out = {}
+    for name, (weight, _, labels) in best.items():
+        vals = [frozenset() if name == "i2rdn" else 0] * g.n
+        for u, x in labels.items():
+            vals[u] = x
+        out[name] = (weight, vals)
+    return out
 
 
 # ---------------------------------------------------------------------------
-# plain domination numbers (branch and bound)
+# plain domination numbers: one threshold branch and bound
 # ---------------------------------------------------------------------------
+
+# name -> (labels in branching order, threshold k, independent number whose
+# optimum is the starting incumbent)
+_THRESHOLD = {
+    "gamma": ((0, 1), 1, "idn"),
+    "gamma_r2": ((0, 2, 1), 2, "ir2dn"),
+    "gamma_dr": ((0, 3, 2), 3, "idrdn"),
+}
 
 
 def _bfs_order(g: Graph) -> list:
@@ -341,66 +343,19 @@ def _bfs_order(g: Graph) -> list:
     return order
 
 
-def _gamma_with_witness(g: Graph, size_limit: int | None) -> tuple[int, frozenset]:
+def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple[int, list]:
+    """Minimum-weight labeling with values in `labels` in which the labels of
+    every 0-vertex's neighbors sum to at least k, as (weight, label per vertex).
+
+    Vertices are labeled in BFS order, trying `labels` in the given order; a
+    vertex is checked as soon as its closed neighborhood is labeled.  The
+    lower bound adds one deficit per vertex not yet defended -- k minus what
+    it receives for a 0-vertex, the smaller of that and the least positive
+    label for an unlabeled one -- and divides by 1 + Δ.  `incumbent` is a
+    valid labeling; the search only looks for strictly lighter ones.
+    """
     n = g.n
-    inc_size, inc_set = idn(g, size_limit)
-    inc_mask = 0
-    for v in inc_set:
-        inc_mask |= 1 << v
-    closed = [g.neighbor_mask(v) | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    best = [inc_size, inc_mask]
-
-    def dfs(count: int, dom: int, chosen: int, forbidden: int) -> None:
-        if dom == full:
-            if count < best[0]:
-                best[0], best[1] = count, chosen
-            return
-        if count + 1 >= best[0]:
-            return
-        undom = full ^ dom
-        allowed = full & ~forbidden & ~chosen
-        maxcov = 0
-        for u in _bits(allowed):
-            c = (closed[u] & undom).bit_count()
-            if c > maxcov:
-                maxcov = c
-        if maxcov == 0:
-            return
-        need = -(-undom.bit_count() // maxcov)
-        if count + need >= best[0]:
-            return
-        bv, bcands, bcnt = -1, 0, n + 1
-        for v in _bits(undom):
-            cands = closed[v] & allowed
-            c = cands.bit_count()
-            if c == 0:
-                return
-            if c < bcnt:
-                bcnt, bv, bcands = c, v, cands
-        cand_list = sorted(
-            _bits(bcands), key=lambda u: (-(closed[u] & undom).bit_count(), u)
-        )
-        forb = forbidden
-        for u in cand_list:
-            dfs(count + 1, dom | closed[u], chosen | (1 << u), forb)
-            forb |= 1 << u
-
-    dfs(0, 0, 0, 0)
-    return best[0], frozenset(_bits(best[1]))
-
-
-def domination_number(g: Graph, size_limit: int | None = None) -> int:
-    """Exact domination number γ(g)."""
-    _guard(g, size_limit)
-    _require_vertices(g)
-    return _gamma_with_witness(g, size_limit)[0]
-
-
-def _gamma_r2_with_witness(g: Graph, size_limit: int | None) -> tuple[int, R2Labeling]:
-    n = g.n
-    inc_w, inc_lab = ir2dn(g, size_limit)
-    best = [inc_w, list(inc_lab.values)]
+    best = [sum(incumbent), list(incumbent)]
     order = _bfs_order(g)
     pos = [0] * n
     for i, v in enumerate(order):
@@ -411,21 +366,19 @@ def _gamma_r2_with_witness(g: Graph, size_limit: int | None) -> tuple[int, R2Lab
         for w in g.adjacency(u):
             cp = max(cp, pos[w])
         close_list[cp].append(u)
-    denom = 1 + (g.max_degree() if n else 0)
+    denom = 1 + g.max_degree()
+    least = min(x for x in labels if x)
+    # deficit of an unlabeled vertex that receives r < k
+    short = [min(least, k - r) for r in range(k)]
     vals = [-1] * n
     received = [0] * n
     adj = [g.adjacency(v) for v in range(n)]
 
-    def rho_total() -> int:
+    def deficit() -> int:
         tot = 0
-        for u in range(n):
-            x = vals[u]
-            if x > 0:
-                continue
-            r = received[u]
-            if r >= 2:
-                continue
-            tot += (2 - r) if x == 0 else 1
+        for r, x in zip(received, vals):
+            if r < k and x <= 0:
+                tot += k - r if x == 0 else short[r]
         return tot
 
     def dfs(i: int, w: int) -> None:
@@ -434,7 +387,7 @@ def _gamma_r2_with_witness(g: Graph, size_limit: int | None) -> tuple[int, R2Lab
                 best[0], best[1] = w, vals.copy()
             return
         v = order[i]
-        for val in (0, 2, 1):
+        for val in labels:
             w2 = w + val
             if w2 >= best[0]:
                 continue
@@ -442,8 +395,8 @@ def _gamma_r2_with_witness(g: Graph, size_limit: int | None) -> tuple[int, R2Lab
             if val:
                 for u in adj[v]:
                     received[u] += val
-            ok = all(vals[u] != 0 or received[u] >= 2 for u in close_list[i])
-            if ok and w2 + -(-rho_total() // denom) < best[0]:
+            ok = all(vals[u] or received[u] >= k for u in close_list[i])
+            if ok and w2 + -(-deficit() // denom) < best[0]:
                 dfs(i + 1, w2)
             if val:
                 for u in adj[v]:
@@ -451,99 +404,82 @@ def _gamma_r2_with_witness(g: Graph, size_limit: int | None) -> tuple[int, R2Lab
             vals[v] = -1
 
     dfs(0, 0)
-    return best[0], R2Labeling(best[1])
+    return best[0], best[1]
+
+
+# ---------------------------------------------------------------------------
+# public exact solvers
+# ---------------------------------------------------------------------------
+
+
+def _solve(g: Graph, names) -> dict:
+    """(weight, label per vertex) of each requested exact number: one MIS pass
+    for the independent numbers and the incumbents, then one threshold
+    search per plain number."""
+    plain = [name for name in names if name in _THRESHOLD]
+    found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain})
+    for name in plain:
+        labels, k, start = _THRESHOLD[name]
+        found[name] = _threshold_search(g, labels, k, found[start][1])
+    return found
+
+
+def _positive_set(vals) -> frozenset:
+    return frozenset(v for v, x in enumerate(vals) if x)
+
+
+# name -> witness type built from the label per vertex
+_WITNESS = {
+    "gamma": _positive_set,
+    "idn": _positive_set,
+    "gamma_r2": R2Labeling,
+    "ir2dn": R2Labeling,
+    "i2rdn": RainbowLabeling,
+    "gamma_dr": DRLabeling,
+    "idrdn": DRLabeling,
+}
+
+
+def _exact(g: Graph, name: str, size_limit: int | None):
+    _guard(g, size_limit)
+    _require_vertices(g)
+    weight, vals = _solve(g, (name,))[name]
+    return weight, _WITNESS[name](vals)
+
+
+def idrdn(g: Graph, size_limit: int | None = None) -> tuple[int, DRLabeling]:
+    """Independent double Roman domination number with an optimal labeling."""
+    return _exact(g, "idrdn", size_limit)
+
+
+def idn(g: Graph, size_limit: int | None = None) -> tuple[int, frozenset]:
+    """Independent domination number with a minimum maximal independent set."""
+    return _exact(g, "idn", size_limit)
+
+
+def ir2dn(g: Graph, size_limit: int | None = None) -> tuple[int, R2Labeling]:
+    """Independent Roman {2} domination number with an optimal labeling."""
+    return _exact(g, "ir2dn", size_limit)
+
+
+def i2rdn(g: Graph, size_limit: int | None = None) -> tuple[int, RainbowLabeling]:
+    """Independent 2-rainbow domination number with an optimal labeling."""
+    return _exact(g, "i2rdn", size_limit)
+
+
+def domination_number(g: Graph, size_limit: int | None = None) -> int:
+    """Exact domination number γ(g)."""
+    return _exact(g, "gamma", size_limit)[0]
 
 
 def gamma_r2(g: Graph, size_limit: int | None = None) -> int:
     """Exact Roman {2} domination number γ_{R2}(g)."""
-    _guard(g, size_limit)
-    _require_vertices(g)
-    return _gamma_r2_with_witness(g, size_limit)[0]
-
-
-def _gamma_dr_with_witness(g: Graph, size_limit: int | None) -> tuple[int, DRLabeling]:
-    n = g.n
-    inc_w, inc_lab = idrdn(g, size_limit)
-    best = [inc_w, list(inc_lab.values)]
-    order = _bfs_order(g)
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    close_list = [[] for _ in range(n)]
-    for u in range(n):
-        cp = pos[u]
-        for w in g.adjacency(u):
-            cp = max(cp, pos[w])
-        close_list[cp].append(u)
-    denom = 1 + (g.max_degree() if n else 0)
-    vals = [-1] * n
-    count2 = [0] * n
-    count3 = [0] * n
-    adj = [g.adjacency(v) for v in range(n)]
-
-    def rho_total() -> int:
-        tot = 0
-        for u in range(n):
-            x = vals[u]
-            if x >= 2:
-                continue
-            if x == 1:
-                if count2[u] == 0 and count3[u] == 0:
-                    tot += 2
-                continue
-            if count3[u] >= 1 or count2[u] >= 2:
-                continue
-            if x == 0:
-                tot += 2 if count2[u] == 1 else 3
-            else:
-                tot += 1 if count2[u] == 1 else 2
-        return tot
-
-    def satisfied(u: int) -> bool:
-        x = vals[u]
-        if x >= 2:
-            return True
-        if x == 1:
-            return count2[u] + count3[u] >= 1
-        return count3[u] >= 1 or count2[u] >= 2
-
-    def dfs(i: int, w: int) -> None:
-        if i == n:
-            if w < best[0]:
-                best[0], best[1] = w, vals.copy()
-            return
-        v = order[i]
-        for val in (0, 3, 2, 1):
-            w2 = w + val
-            if w2 >= best[0]:
-                continue
-            vals[v] = val
-            if val == 2:
-                for u in adj[v]:
-                    count2[u] += 1
-            elif val == 3:
-                for u in adj[v]:
-                    count3[u] += 1
-            ok = all(satisfied(u) for u in close_list[i])
-            if ok and w2 + -(-rho_total() // denom) < best[0]:
-                dfs(i + 1, w2)
-            if val == 2:
-                for u in adj[v]:
-                    count2[u] -= 1
-            elif val == 3:
-                for u in adj[v]:
-                    count3[u] -= 1
-            vals[v] = -1
-
-    dfs(0, 0)
-    return best[0], DRLabeling(best[1])
+    return _exact(g, "gamma_r2", size_limit)[0]
 
 
 def gamma_dr(g: Graph, size_limit: int | None = None) -> int:
     """Exact double Roman domination number γ_{dR}(g)."""
-    _guard(g, size_limit)
-    _require_vertices(g)
-    return _gamma_dr_with_witness(g, size_limit)[0]
+    return _exact(g, "gamma_dr", size_limit)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +514,8 @@ def _matching_partners(g: Graph) -> list:
     """match[v] = partner of v in a maximum matching, -1 if unmatched.
 
     Augmenting-path search with blossom contraction (base array), O(V^3).
+    Vertices without neighbors are never searched from: nothing can match
+    them, and each search allocates arrays of length n.
     """
     n = g.n
     adj = [g.adjacency(v) for v in range(n)]
@@ -652,7 +590,7 @@ def _matching_partners(g: Graph) -> list:
         return False
 
     for v in range(n):
-        if match[v] == -1:
+        if match[v] == -1 and adj[v]:
             find_path(v)
     return match
 
@@ -664,11 +602,6 @@ def max_matching(g: Graph) -> int:
     return sum(1 for x in match if x != -1) // 2
 
 
-def _matching_edges(g: Graph) -> tuple:
-    match = _matching_partners(g)
-    return tuple((v, match[v]) for v in range(g.n) if match[v] > v)
-
-
 def min_edge_cover(g: Graph) -> int:
     """Minimum edge cover size β'(g) = n - α'(g); needs no isolated vertices."""
     _require_vertices(g)
@@ -677,9 +610,13 @@ def min_edge_cover(g: Graph) -> int:
     return g.n - max_matching(g)
 
 
-def _edge_cover_edges(g: Graph) -> tuple:
-    match = _matching_partners(g)
-    edges = [(v, match[v]) for v in range(g.n) if match[v] > v]
+def _matched_edges(match: list) -> tuple:
+    return tuple((v, u) for v, u in enumerate(match) if u > v)
+
+
+def _edge_cover_edges(g: Graph, match: list) -> tuple:
+    """The matching plus one edge at each unmatched vertex."""
+    edges = list(_matched_edges(match))
     for v in range(g.n):
         if match[v] == -1:
             edges.append(tuple(sorted((v, g.adjacency(v)[0]))))
@@ -805,8 +742,10 @@ class InvariantTable:
 def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> InvariantTable:
     """Compute the requested invariants (all known ones by default).
 
-    min_edge_cover is skipped with a not-applicable marker when the graph has
-    an isolated vertex.  Unknown names raise ValueError.
+    The exact numbers share one MIS pass, and the matching and edge cover
+    share one matching.  min_edge_cover is skipped with a not-applicable
+    marker when the graph has an isolated vertex.  Unknown names raise
+    ValueError.
     """
     if which is None:
         names = list(INVARIANT_NAMES)
@@ -816,6 +755,8 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
             if name not in INVARIANT_NAMES:
                 raise ValueError(f"unknown invariant {name!r}")
     table = InvariantTable()
+    exact = None
+    match = None
     for name in INVARIANT_NAMES:
         if name not in names:
             continue
@@ -825,51 +766,32 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
             table.entries[name] = g.max_degree()
         elif name == "min_degree":
             table.entries[name] = g.min_degree()
-        elif name == "gamma":
-            _guard(g, size_limit)
-            _require_vertices(g)
-            value, witness = _gamma_with_witness(g, size_limit)
+        elif name in _WITNESS:
+            if exact is None:
+                _guard(g, size_limit)
+                _require_vertices(g)
+                exact = _solve(g, [x for x in names if x in _WITNESS])
+            value, vals = exact[name]
+            witness = _WITNESS[name](vals)
             table.entries[name] = value
-            table.witnesses[name] = tuple(sorted(witness))
-        elif name == "idn":
-            value, witness = idn(g, size_limit)
-            table.entries[name] = value
-            table.witnesses[name] = tuple(sorted(witness))
-        elif name == "gamma_r2":
-            _guard(g, size_limit)
-            _require_vertices(g)
-            value, witness = _gamma_r2_with_witness(g, size_limit)
-            table.entries[name] = value
-            table.witnesses[name] = witness
-        elif name == "ir2dn":
-            value, witness = ir2dn(g, size_limit)
-            table.entries[name] = value
-            table.witnesses[name] = witness
-        elif name == "i2rdn":
-            value, witness = i2rdn(g, size_limit)
-            table.entries[name] = value
-            table.witnesses[name] = witness
-        elif name == "gamma_dr":
-            _guard(g, size_limit)
-            _require_vertices(g)
-            value, witness = _gamma_dr_with_witness(g, size_limit)
-            table.entries[name] = value
-            table.witnesses[name] = witness
-        elif name == "idrdn":
-            value, witness = idrdn(g, size_limit)
-            table.entries[name] = value
-            table.witnesses[name] = witness
+            table.witnesses[name] = (
+                tuple(sorted(witness)) if isinstance(witness, frozenset) else witness
+            )
         elif name == "packing":
             value, witness = packing_number(g, size_limit)
             table.entries[name] = value
             table.witnesses[name] = tuple(sorted(witness))
-        elif name == "max_matching":
-            table.entries[name] = max_matching(g)
-            table.witnesses[name] = _matching_edges(g)
-        elif name == "min_edge_cover":
-            if g.n > 0 and g.has_isolated_vertex():
-                table.not_applicable[name] = "graph has an isolated vertex"
+        elif name == "min_edge_cover" and g.n > 0 and g.has_isolated_vertex():
+            table.not_applicable[name] = "graph has an isolated vertex"
+        else:
+            _require_vertices(g)
+            if match is None:
+                match = _matching_partners(g)
+            matched = _matched_edges(match)
+            if name == "max_matching":
+                table.entries[name] = len(matched)
+                table.witnesses[name] = matched
             else:
-                table.entries[name] = min_edge_cover(g)
-                table.witnesses[name] = _edge_cover_edges(g)
+                table.entries[name] = g.n - len(matched)
+                table.witnesses[name] = _edge_cover_edges(g, match)
     return table

@@ -54,10 +54,10 @@ def rainbow_valid(adj, sets):
     return True
 
 
-def brute_gamma_dr(n, edges):
+def brute_gamma_dr(n, edges, allowed=(0, 1, 2, 3)):
     adj = adjacency(n, edges)
     return min(
-        sum(vals) for vals in product((0, 1, 2, 3), repeat=n) if dr_valid(adj, vals)
+        sum(vals) for vals in product(allowed, repeat=n) if dr_valid(adj, vals)
     )
 
 

@@ -3,9 +3,14 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import idrd
 from idrd import build_graph, serialize_edge_list
 from idrd.cli import main
 
@@ -355,3 +360,41 @@ def test_fuzz_argument_errors(capsys):
 def test_command_is_required(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+# ---------------------------------------------------------------------------
+# environment and module entry
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "-"],
+    ["family", "path:5"],
+    ["classify", "--input", "-"],
+    ["realize", "2", "5"],
+    ["bounds", "--input", "-"],
+    ["fuzz", "tree", "6", "5"],
+])
+def test_non_integer_size_limit_is_an_input_error(argv, capsys, monkeypatch):
+    monkeypatch.setenv("IDRD_SIZE_LIMIT", "abc")
+    code, out, err = run(
+        argv, capsys, monkeypatch, stdin_text=serialize_edge_list(path_graph(5)))
+    assert code == 2 and out == ""
+    assert err == "error: IDRD_SIZE_LIMIT must be an integer, got 'abc'\n"
+
+
+def test_package_runs_as_a_module():
+    env = dict(os.environ)
+    src = str(Path(idrd.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("IDRD_SIZE_LIMIT", None)
+    text = serialize_edge_list(path_graph(7))
+    proc = subprocess.run(
+        [sys.executable, "-m", "idrd", "solve", "--input", "-", "--json"],
+        input=text, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    envelope = json.loads(proc.stdout)
+    assert envelope["command"] == "solve"
+    assert envelope["input_digest"] == sha(text)
+    assert envelope["payload"]["invariants"]["idrdn"] == 8

@@ -1,5 +1,7 @@
 """Exact solvers against definition-level brute force, plus guard behavior."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 
@@ -306,6 +308,17 @@ def test_matching_witness_is_a_matching():
         assert set(edges) <= set(g.edges)
 
 
+def test_matching_skips_isolated_vertices():
+    # Searching from each isolated vertex would cost O(n^2): seconds here.
+    g = empty_graph(16000)
+    start = time.perf_counter()
+    assert max_matching(g) == 0
+    table = compute_invariants(g, ["max_matching"])
+    assert time.perf_counter() - start < 1.0
+    assert table.entries == {"max_matching": 0}
+    assert table.witnesses == {"max_matching": ()}
+
+
 # ---------------------------------------------------------------------------
 # tree dynamic programs
 # ---------------------------------------------------------------------------
@@ -427,6 +440,47 @@ def test_invariant_table_marks_edge_cover_not_applicable():
 
 @settings(max_examples=40, deadline=None)
 @given(graphs(max_n=5))
+def test_plain_double_roman_needs_no_value_one(g):
+    # Beeler, Haynes & Hedetniemi (2016); the gamma_dr search relies on it.
+    assert oracles.brute_gamma_dr(g.n, g.edges) == \
+        oracles.brute_gamma_dr(g.n, g.edges, allowed=(0, 2, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=5))
 def test_value_one_is_never_needed(g):
     assert oracles.brute_idrdn(g.n, g.edges, allowed=(0, 1, 2, 3)) == \
         oracles.brute_idrdn(g.n, g.edges, allowed=(0, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# one shared computation per table
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(min_n=1, max_n=8))
+def test_invariant_table_matches_the_standalone_functions(g):
+    table = compute_invariants(g)
+    standalone = {
+        "order": g.n,
+        "max_degree": g.max_degree(),
+        "min_degree": g.min_degree(),
+        "gamma": domination_number(g),
+        "idn": idn(g)[0],
+        "gamma_r2": gamma_r2(g),
+        "ir2dn": ir2dn(g)[0],
+        "i2rdn": i2rdn(g)[0],
+        "gamma_dr": gamma_dr(g),
+        "idrdn": idrdn(g)[0],
+        "packing": packing_number(g)[0],
+        "max_matching": max_matching(g),
+    }
+    if g.has_isolated_vertex():
+        assert table.not_applicable == {"min_edge_cover": "graph has an isolated vertex"}
+    else:
+        standalone["min_edge_cover"] = min_edge_cover(g)
+    assert table.entries == standalone
+    assert table.witnesses["idn"] == tuple(sorted(idn(g)[1]))
+    for name, solver in (("ir2dn", ir2dn), ("i2rdn", i2rdn), ("idrdn", idrdn)):
+        assert table.witnesses[name] == solver(g)[1]
