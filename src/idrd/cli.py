@@ -10,9 +10,11 @@ human-oriented and may change.
 
 Exit codes: 0 success; 1 fuzz found violations; 2 input error (unparsable
 edge list or spec text, unknown invariant name, bad flags, non-integer
-IDRD_SIZE_LIMIT); 3 exact-solver
-size limit exceeded (IDRD_SIZE_LIMIT overrides the default of 24); 4
-domain error (no closed form, non-tree classify, inadmissible pair).
+IDRD_SIZE_LIMIT); 3 exact-solver size limit exceeded (IDRD_SIZE_LIMIT
+overrides the default of 24; `family` checks the spec's order before it
+builds the graph); 4 domain error (no closed form, non-tree classify,
+inadmissible pair).  classify and realize read the linear-time tree DPs, so
+they never exit 3.
 """
 
 import argparse
@@ -22,6 +24,7 @@ import sys
 
 from .bounds import GRAPH_CLASSES, check_bounds, fuzz
 from .families import (
+    _family_order,
     classify_tree,
     formula_idrdn,
     generate,
@@ -32,9 +35,13 @@ from .graph import EdgeListParseError, parse_edge_list, serialize_edge_list
 from .labelings import DRLabeling, R2Labeling, RainbowLabeling
 from .solvers import (
     SizeLimitError,
+    _guard,
     _resolve_limit,
     compute_invariants,
     idrdn,
+    tree_idn,
+    tree_idrdn,
+    tree_ir2dn,
 )
 
 SCHEMA_VERSION = "1"
@@ -138,6 +145,7 @@ def _cmd_family(args) -> int:
             return _error(EXIT_DOMAIN, str(exc))
     if args.mode in ("solve", "both"):
         try:
+            _guard(_family_order(spec), args.size_limit)
             payload["solver"] = idrdn(generate(spec), size_limit=args.size_limit)[0]
         except SizeLimitError as exc:
             return _error(EXIT_SIZE, str(exc))
@@ -163,11 +171,7 @@ def _cmd_classify(args) -> int:
         result = classify_tree(g)
     except ValueError as exc:
         return _error(EXIT_DOMAIN, str(exc))
-    try:
-        values = compute_invariants(g, ["idn", "ir2dn"], size_limit=args.size_limit).entries
-    except SizeLimitError as exc:
-        return _error(EXIT_SIZE, str(exc))
-    diff = values["ir2dn"] - values["idn"]
+    diff = tree_ir2dn(g) - tree_idn(g)
     digest = _digest(serialize_edge_list(g))
     payload = {
         "membership": result.membership,
@@ -192,11 +196,7 @@ def _cmd_realize(args) -> int:
         t = realize(args.a, args.b)
     except ValueError as exc:
         return _error(EXIT_DOMAIN, str(exc))
-    try:
-        values = compute_invariants(t, ["idn", "idrdn"], size_limit=args.size_limit).entries
-    except SizeLimitError as exc:
-        return _error(EXIT_SIZE, str(exc))
-    got_a, got_b = values["idn"], values["idrdn"]
+    got_a, got_b = tree_idn(t), tree_idrdn(t)
     text = serialize_edge_list(t)
     if args.out:
         try:

@@ -23,18 +23,6 @@ from dataclasses import dataclass
 
 from .graph import Graph, build_graph
 
-KINDS = (
-    "path",
-    "cycle",
-    "complete",
-    "complete_multipartite",
-    "star",
-    "double_star",
-    "subdivided_star",
-    "subdivided_double_star",
-    "corona_of_star",
-)
-
 _SHORT_NAMES = {
     "path": "path",
     "cycle": "cycle",
@@ -47,17 +35,9 @@ _SHORT_NAMES = {
     "coronastar": "corona_of_star",
 }
 
-_ALIAS_OF = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "complete_multipartite": "kpartite",
-    "star": "star",
-    "double_star": "doublestar",
-    "subdivided_star": "subdivstar",
-    "subdivided_double_star": "subdivdoublestar",
-    "corona_of_star": "coronastar",
-}
+_ALIAS_OF = {kind: alias for alias, kind in _SHORT_NAMES.items()}
+
+KINDS = tuple(_SHORT_NAMES.values())
 
 
 @dataclass(frozen=True)
@@ -185,6 +165,24 @@ def generate(spec: FamilySpec) -> Graph:
     raise ValueError(f"unknown family kind {kind!r}")
 
 
+def _family_order(spec: FamilySpec) -> int:
+    """Order of generate(spec), without building the graph."""
+    kind, params = spec.kind, spec.params
+    if kind in ("path", "cycle", "complete", "subdivided_star"):
+        return params[0]
+    if kind == "complete_multipartite":
+        return sum(params)
+    if kind == "star":
+        return params[0] + 1
+    if kind == "double_star":
+        return params[0] + params[1] + 2
+    if kind == "subdivided_double_star":
+        return 2 * (params[0] + params[1]) + 3
+    if kind == "corona_of_star":
+        return 2 * params[0] + 2
+    raise ValueError(f"unknown family kind {kind!r}")
+
+
 def formula_idrdn(spec: FamilySpec) -> int:
     """Closed-form independent double Roman domination number.
 
@@ -217,25 +215,16 @@ class TreeClass:
     parameters: tuple | None
 
 
-def _component_sizes_without(t: Graph, c: int) -> list:
-    seen = [False] * t.n
-    seen[c] = True
-    sizes = []
-    for start in range(t.n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        size = 0
-        while stack:
-            v = stack.pop()
-            size += 1
-            for u in t.adjacency(v):
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        sizes.append(size)
-    return sizes
+def _arm(t: Graph, hub: int, x: int) -> int:
+    """Order of the component of t - hub that holds the hub's neighbor x, when
+    it is 1 or 2 (x a leaf, or x of degree 2 with a leaf beyond it); else 0."""
+    if t.degree(x) == 1:
+        return 1
+    if t.degree(x) == 2:
+        far = next(y for y in t.adjacency(x) if y != hub)
+        if t.degree(far) == 1:
+            return 2
+    return 0
 
 
 def _recognize_center_tree(t: Graph) -> tuple | None:
@@ -243,10 +232,9 @@ def _recognize_center_tree(t: Graph) -> tuple | None:
     components behind; candidates are scanned by descending degree so the
     recovered parameters describe the most star-like center."""
     for c in sorted(range(t.n), key=lambda v: (-t.degree(v), v)):
-        sizes = _component_sizes_without(t, c)
-        if all(s <= 2 for s in sizes):
-            j = sum(1 for s in sizes if s == 2)
-            return (t.n, j)
+        arms = [_arm(t, c, x) for x in t.adjacency(c)]
+        if all(arms):
+            return (t.n, arms.count(2))
     return None
 
 
@@ -262,23 +250,9 @@ def _recognize_subdivided_double_star(t: Graph) -> tuple | None:
             continue
         c1, c2 = t.adjacency(mid)
         r, s = t.degree(c1) - 1, t.degree(c2) - 1
-        if r < 1 or s < 1:
+        if r < 1 or s < 1 or n != 2 * (r + s) + 3:
             continue
-        ok = True
-        for hub in (c1, c2):
-            for x in t.adjacency(hub):
-                if x == mid:
-                    continue
-                if t.degree(x) != 2:
-                    ok = False
-                    break
-                far = next(y for y in t.adjacency(x) if y != hub)
-                if t.degree(far) != 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok and n == 2 * (r + s) + 3:
+        if all(_arm(t, hub, x) == 2 for hub in (c1, c2) for x in t.adjacency(hub) if x != mid):
             return (min(r, s), max(r, s))
     return None
 

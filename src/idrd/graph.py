@@ -23,7 +23,7 @@ class Graph:
     constructor validates endpoints, rejects self-loops, and deduplicates.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks")
+    __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -47,11 +47,6 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         self._adj = tuple(tuple(sorted(nb)) for nb in adj)
-        masks = [0] * n
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        self._masks = tuple(masks)
 
     # -- basic queries ----------------------------------------------------
 
@@ -69,8 +64,12 @@ class Graph:
         return self._adj[v]
 
     def neighbor_mask(self, v: int) -> int:
+        """Neighbors of v as a bitmask, built on each call (O(n) bits)."""
         self._check_vertex(v)
-        return self._masks[v]
+        mask = 0
+        for u in self._adj[v]:
+            mask |= 1 << u
+        return mask
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -104,18 +103,12 @@ class Graph:
     def is_independent(self, s) -> bool:
         """True iff no edge joins two members of s."""
         s = self._check_subset(s)
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        return all(not (self._masks[v] & mask) for v in s)
+        return all(s.isdisjoint(self._adj[v]) for v in s)
 
     def is_dominating(self, s) -> bool:
         """True iff every vertex outside s has a neighbor in s."""
         s = self._check_subset(s)
-        mask = 0
-        for v in s:
-            mask |= 1 << v
-        return all(v in s or (self._masks[v] & mask) for v in range(self.n))
+        return all(v in s or not s.isdisjoint(nb) for v, nb in enumerate(self._adj))
 
     # -- global predicates ------------------------------------------------
 

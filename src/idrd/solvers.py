@@ -96,11 +96,11 @@ def _resolve_limit(size_limit: int | None) -> int:
         raise ValueError(f"IDRD_SIZE_LIMIT must be an integer, got {env!r}") from None
 
 
-def _guard(g: Graph, size_limit: int | None) -> None:
+def _guard(order: int, size_limit: int | None) -> None:
     limit = _resolve_limit(size_limit)
-    if g.n > limit:
+    if order > limit:
         raise SizeLimitError(
-            f"graph order {g.n} exceeds the exact-solver limit {limit} "
+            f"graph order {order} exceeds the exact-solver limit {limit} "
             f"(set IDRD_SIZE_LIMIT to override)"
         )
 
@@ -441,7 +441,7 @@ _WITNESS = {
 
 
 def _exact(g: Graph, name: str, size_limit: int | None):
-    _guard(g, size_limit)
+    _guard(g.n, size_limit)
     _require_vertices(g)
     weight, vals = _solve(g, (name,))[name]
     return weight, _WITNESS[name](vals)
@@ -494,7 +494,7 @@ def packing_number(g: Graph, size_limit: int | None = None) -> tuple[int, frozen
     distance <= 2 adjacent), so the maximum is found among the square's
     maximal independent sets.
     """
-    _guard(g, size_limit)
+    _guard(g.n, size_limit)
     _require_vertices(g)
     n = g.n
     closed = [g.neighbor_mask(v) | (1 << v) for v in range(n)]
@@ -645,84 +645,63 @@ def _rooted_order(t: Graph) -> tuple[list, list]:
     return parent, order
 
 
-def tree_idrdn(t: Graph) -> int:
-    """Independent double Roman domination number of a tree, by dynamic
-    programming over five per-vertex states.
+def _tree_mis_number(t: Graph, weak: int, strong: int) -> int:
+    """min over maximal independent S of weak·|S| + (strong − weak)·|forced(S)|
+    on a tree, by dynamic programming in linear time.
 
-    States: labeled 2; labeled 3; labeled 0 and already defended by children
-    (a 3-child or two 2-children); labeled 0 with exactly one 2-child and no
-    3-child (defended iff the parent takes 2 or 3); labeled 0 with no
-    positive child (defended only by a 3-parent).  A positive vertex admits
-    only zero-state children; the root must end positive or defended.
+    Equivalently: positive labels weak or strong on an independent set, and
+    every 0-vertex needs one strong neighbor or two positive ones.  Per
+    vertex, rooted at 0: the cheapest subtree labeling with the vertex weak
+    or strong (its children are 0-vertices that need no strong parent, resp.
+    any 0-vertex), and, with the vertex 0, three running minima over its
+    children -- no positive child (needs a strong parent), exactly one weak
+    child (needs a positive parent), already defended.
     """
     if not t.is_tree():
         raise ValueError("input is not a tree")
     n = t.n
     INF = float("inf")
     parent, order = _rooted_order(t)
-    L2 = [0] * n
-    L3 = [0] * n
-    ZS = [0] * n
-    ZN2 = [0] * n
-    ZN3 = [0] * n
+    pos_weak = [0] * n
+    pos_strong = [0] * n
+    none = [0] * n
+    one_weak = [0] * n
+    defended = [0] * n
     for v in reversed(order):
-        children = [u for u in t.adjacency(v) if u != parent[v]]
-        if not children:
-            L2[v], L3[v] = 2, 3
-            ZS[v] = ZN2[v] = INF
-            ZN3[v] = 0
-            continue
-        L2[v] = 2 + sum(min(ZS[c], ZN2[c]) for c in children)
-        L3[v] = 3 + sum(min(ZS[c], ZN2[c], ZN3[c]) for c in children)
-        # zero label: children pick 2 / 3 / defended-zero; count (2s, 3s) capped
-        cur = {(0, 0): 0}
-        for c in children:
-            nxt = {}
-            opts = ((0, 0, ZS[c]), (1, 0, L2[c]), (0, 1, L3[c]))
-            for (k2, k3), cost in cur.items():
-                for d2, d3, add in opts:
-                    if add == INF:
-                        continue
-                    key = (min(2, k2 + d2), min(1, k3 + d3))
-                    val = cost + add
-                    if val < nxt.get(key, INF):
-                        nxt[key] = val
-            cur = nxt
-        ZN3[v] = cur.get((0, 0), INF)
-        ZN2[v] = cur.get((1, 0), INF)
-        ZS[v] = min(
-            cur.get((2, 0), INF),
-            cur.get((0, 1), INF),
-            cur.get((1, 1), INF),
-            cur.get((2, 1), INF),
-        )
+        below_weak = below_strong = 0
+        n0, n1, d = 0, INF, INF
+        for c in t.adjacency(v):
+            if c == parent[v]:
+                continue
+            zero = min(defended[c], one_weak[c])
+            below_weak += zero
+            below_strong += min(zero, none[c])
+            w, s = pos_weak[c], pos_strong[c]
+            n0, n1, d = (
+                n0 + defended[c],
+                min(n1 + defended[c], n0 + w),
+                min(d + min(defended[c], w, s), n1 + min(w, s), n0 + s),
+            )
+        pos_weak[v] = weak + below_weak
+        pos_strong[v] = strong + below_strong
+        none[v], one_weak[v], defended[v] = n0, n1, d
     root = order[0]
-    return int(min(L2[root], L3[root], ZS[root]))
+    return int(min(pos_weak[root], pos_strong[root], defended[root]))
 
 
 def tree_idn(t: Graph) -> int:
-    """Independent domination number of a tree (three-state DP)."""
-    if not t.is_tree():
-        raise ValueError("input is not a tree")
-    n = t.n
-    INF = float("inf")
-    parent, order = _rooted_order(t)
-    IN = [0] * n
-    DOM = [0] * n  # out of the set, dominated by a child
-    UND = [0] * n  # out of the set, needs the parent
-    for v in reversed(order):
-        children = [u for u in t.adjacency(v) if u != parent[v]]
-        IN[v] = 1 + sum(min(DOM[c], UND[c]) for c in children)
-        UND[v] = sum(DOM[c] for c in children)
-        no_in, with_in = 0, INF
-        for c in children:
-            no_in, with_in = (
-                no_in + DOM[c],
-                min(with_in + min(IN[c], DOM[c]), no_in + IN[c]),
-            )
-        DOM[v] = with_in
-    root = order[0]
-    return int(min(IN[root], DOM[root]))
+    """Independent domination number of a tree (linear-time DP)."""
+    return _tree_mis_number(t, *_MIS_WEIGHTS["idn"])
+
+
+def tree_ir2dn(t: Graph) -> int:
+    """Independent Roman {2} domination number of a tree (linear-time DP)."""
+    return _tree_mis_number(t, *_MIS_WEIGHTS["ir2dn"])
+
+
+def tree_idrdn(t: Graph) -> int:
+    """Independent double Roman domination number of a tree (linear-time DP)."""
+    return _tree_mis_number(t, *_MIS_WEIGHTS["idrdn"])
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +747,7 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
             table.entries[name] = g.min_degree()
         elif name in _WITNESS:
             if exact is None:
-                _guard(g, size_limit)
+                _guard(g.n, size_limit)
                 _require_vertices(g)
                 exact = _solve(g, [x for x in names if x in _WITNESS])
             value, vals = exact[name]

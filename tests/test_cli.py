@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import idrd
 from idrd import build_graph, serialize_edge_list
 from idrd.cli import main
+from idrd.families import generate, parse_family_spec
 
 from conftest import cycle_graph, empty_graph, path_graph
 
@@ -183,6 +185,16 @@ def test_family_size_limit(capsys):
     assert code == 0 and "formula = 81" in out
 
 
+def test_family_size_limit_is_checked_before_the_graph_is_built(capsys):
+    start = time.perf_counter()
+    code, out, err = run(["family", "path:1000000000", "solve"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and out == ""
+    assert err == (
+        "error: graph order 1000000000 exceeds the exact-solver limit 24"
+        " (set IDRD_SIZE_LIMIT to override)\n")
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------
@@ -213,6 +225,18 @@ def test_classify_non_member(capsys, monkeypatch):
         capsys, monkeypatch, stdin_text=serialize_edge_list(path_graph(6)))
     assert code == 0
     assert out.splitlines() == ["membership = neither", "ir2dn - idn = 2"]
+
+
+def test_classify_large_trees_ignore_the_size_limit(capsys, monkeypatch):
+    text = serialize_edge_list(generate(parse_family_spec("subdivstar:31,15")))
+    for limit in (None, "5"):
+        if limit is not None:
+            monkeypatch.setenv("IDRD_SIZE_LIMIT", limit)
+        code, out, _ = run(
+            ["classify", "--input", "-", "--json"], capsys, monkeypatch, stdin_text=text)
+        assert code == 0
+        assert json.loads(out)["payload"] == {
+            "membership": "T_family", "parameters": [31, 15], "ir2dn_minus_idn": 1}
 
 
 def test_classify_domain_errors(capsys, monkeypatch):
@@ -259,6 +283,15 @@ def test_realize_json_payload(capsys):
     assert payload["a"] == 1 and payload["b"] == 3
     assert payload["order"] == 2
     assert payload["edge_list"] == "2 1\n0 1\n"
+    assert payload["verified"] is True
+
+
+def test_realize_verifies_trees_above_the_size_limit(capsys):
+    code, out, _ = run(["realize", "12", "30", "--json"], capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert payload["order"] == 29
+    assert payload["idn"] == 12 and payload["idrdn"] == 30
     assert payload["verified"] is True
 
 

@@ -8,6 +8,7 @@ from idrd.families import (
     KINDS,
     FamilySpec,
     TreeClass,
+    _family_order,
     admissible_interval,
     classify_tree,
     formula_idrdn,
@@ -40,6 +41,9 @@ def test_spec_text_round_trips_through_parse():
     for spec in specs:
         assert parse_family_spec(spec.text()) == spec
     assert FamilySpec("complete_multipartite", (2, 2, 5)).text() == "kpartite:2,2,5"
+    assert KINDS == (
+        "path", "cycle", "complete", "complete_multipartite", "star", "double_star",
+        "subdivided_star", "subdivided_double_star", "corona_of_star")
 
 
 def test_parse_accepts_short_and_long_names():
@@ -128,6 +132,16 @@ def test_subdivided_double_star_one_one_is_a_path():
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
+
+
+def test_family_order_matches_the_generated_graph():
+    specs = ["path:1", "path:6", "cycle:5", "complete:4", "kpartite:1,2,3",
+             "star:4", "doublestar:1,3", "subdivstar:7,2", "subdivstar:2,0",
+             "subdivdoublestar:2,3", "coronastar:3"]
+    assert {parse_family_spec(text).kind for text in specs} == set(KINDS)
+    for text in specs:
+        spec = parse_family_spec(text)
+        assert _family_order(spec) == generate(spec).n, text
 
 
 def test_formula_values():

@@ -1,5 +1,7 @@
 """Graph construction, serialization, and random generation."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,6 +74,19 @@ def test_independence_and_domination_predicates():
     assert not g.is_dominating({0})
     with pytest.raises(ValueError, match="out of range"):
         g.is_independent({5})
+
+
+def test_graph_memory_grows_linearly_on_sparse_graphs():
+    def peak(n):
+        edges = [(i, i + 1) for i in range(n - 1)]
+        tracemalloc.start()
+        try:
+            build_graph(n, edges)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(40_000) < 2.5 * peak(20_000)
 
 
 def test_connectivity_and_tree_tests():

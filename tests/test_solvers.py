@@ -33,6 +33,7 @@ from idrd import (
     packing_number,
     tree_idn,
     tree_idrdn,
+    tree_ir2dn,
 )
 
 from conftest import (
@@ -324,16 +325,15 @@ def test_matching_skips_isolated_vertices():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("tree_dp, exact", [
+    (tree_idn, idn),
+    (tree_ir2dn, ir2dn),
+    (tree_idrdn, idrdn),
+])
 @settings(max_examples=80, deadline=None)
-@given(trees(min_n=1, max_n=12))
-def test_tree_idrdn_matches_exact_solver(t):
-    assert tree_idrdn(t) == idrdn(t)[0]
-
-
-@settings(max_examples=80, deadline=None)
-@given(trees(min_n=1, max_n=12))
-def test_tree_idn_matches_exact_solver(t):
-    assert tree_idn(t) == idn(t)[0]
+@given(t=trees(min_n=1, max_n=12))
+def test_tree_dp_matches_exact_solver(tree_dp, exact, t):
+    assert tree_dp(t) == exact(t)[0]
 
 
 def test_tree_dp_small_cases_and_errors():
@@ -341,17 +341,25 @@ def test_tree_dp_small_cases_and_errors():
     assert tree_idrdn(path_graph(2)) == 3
     assert tree_idrdn(path_graph(3)) == 3
     assert tree_idn(path_graph(3)) == 1
+    assert tree_ir2dn(path_graph(1)) == 1
+    assert tree_ir2dn(path_graph(2)) == 2
+    assert tree_ir2dn(path_graph(3)) == 2
     with pytest.raises(ValueError, match="not a tree"):
         tree_idrdn(cycle_graph(5))
     with pytest.raises(ValueError, match="not a tree"):
         tree_idn(build_graph(4, [(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="not a tree"):
+        tree_ir2dn(cycle_graph(4))
 
 
 def test_tree_dp_handles_large_instances():
     assert tree_idrdn(path_graph(120)) == 120
     assert tree_idrdn(path_graph(121)) == 122
     assert tree_idn(path_graph(120)) == 40
+    assert tree_ir2dn(path_graph(120)) == 61
+    assert tree_ir2dn(path_graph(121)) == 61
     assert tree_idrdn(star_graph(99)) == 3
+    assert tree_ir2dn(star_graph(99)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +399,7 @@ def test_polynomial_solvers_are_not_guarded():
     assert max_matching(long_path) == 30
     assert min_edge_cover(long_path) == 30
     assert tree_idrdn(long_path) == 60
+    assert tree_ir2dn(long_path) == 31
 
 
 # ---------------------------------------------------------------------------
