@@ -11,10 +11,11 @@ human-oriented and may change.
 Exit codes: 0 success; 1 fuzz found violations; 2 input error (unparsable
 edge list or spec text, unknown invariant name, bad flags, non-integer
 IDRD_SIZE_LIMIT); 3 exact-solver size limit exceeded (IDRD_SIZE_LIMIT
-overrides the default of 24; `family` checks the spec's order before it
-builds the graph); 4 domain error (no closed form, non-tree classify,
-inadmissible pair).  classify and realize read the linear-time tree DPs, so
-they never exit 3.
+overrides the default of 24; `family` checks the spec's order, and `solve`
+and `bounds` the header's order, before they build the graph); 4 domain
+error (no closed form, non-tree classify, inadmissible pair).  classify and
+realize read the linear-time tree DPs, so they never exit 3; classify
+rejects a header with fewer than n - 1 edges before it builds the graph.
 """
 
 import argparse
@@ -31,11 +32,13 @@ from .families import (
     parse_family_spec,
     realize,
 )
-from .graph import EdgeListParseError, parse_edge_list, serialize_edge_list
+from .graph import EdgeListParseError, _parse_edges, build_graph, serialize_edge_list
 from .labelings import DRLabeling, R2Labeling, RainbowLabeling
 from .solvers import (
+    _EXPONENTIAL,
     SizeLimitError,
     _guard,
+    _invariant_names,
     _resolve_limit,
     compute_invariants,
     idrdn,
@@ -72,13 +75,13 @@ def _emit_json(command: str, digest: str, payload) -> None:
     print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
 
 
-def _read_graph(path: str):
+def _read_edges(path: str) -> tuple[int, list]:
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return parse_edge_list(text)
+    return _parse_edges(text)
 
 
 def _witness_json(witness):
@@ -101,11 +104,17 @@ def _witness_lines(witness):
 
 def _cmd_solve(args) -> int:
     try:
-        g = _read_graph(args.input)
+        n, edges = _read_edges(args.input)
     except (OSError, EdgeListParseError) as exc:
         return _error(EXIT_INPUT, str(exc))
-    names = args.invariants.split(",") if args.invariants else None
     try:
+        names = args.invariants.split(",") if args.invariants else None
+        names = _invariant_names(names)
+        # An empty graph is free to build; left to compute_invariants, its
+        # errors keep their order even under a negative limit.
+        if n and _EXPONENTIAL.intersection(names):
+            _guard(n, args.size_limit)
+        g = build_graph(n, edges)
         table = compute_invariants(g, names, size_limit=args.size_limit)
     except SizeLimitError as exc:
         return _error(EXIT_SIZE, str(exc))
@@ -164,9 +173,14 @@ def _cmd_family(args) -> int:
 
 def _cmd_classify(args) -> int:
     try:
-        g = _read_graph(args.input)
+        n, edges = _read_edges(args.input)
     except (OSError, EdgeListParseError) as exc:
         return _error(EXIT_INPUT, str(exc))
+    # Duplicate edge lines only lower the count, so fewer than n - 1 lines
+    # rule out a tree before the graph is built.
+    if n and len(edges) < n - 1:
+        return _error(EXIT_DOMAIN, "input is not a tree")
+    g = build_graph(n, edges)
     try:
         result = classify_tree(g)
     except ValueError as exc:
@@ -229,10 +243,13 @@ def _cmd_realize(args) -> int:
 
 def _cmd_bounds(args) -> int:
     try:
-        g = _read_graph(args.input)
+        n, edges = _read_edges(args.input)
     except (OSError, EdgeListParseError) as exc:
         return _error(EXIT_INPUT, str(exc))
     try:
+        if n:  # an empty graph is left to check_bounds' own error
+            _guard(n, args.size_limit)
+        g = build_graph(n, edges)
         records = check_bounds(g, size_limit=args.size_limit)
     except SizeLimitError as exc:
         return _error(EXIT_SIZE, str(exc))

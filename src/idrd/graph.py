@@ -154,6 +154,12 @@ def build_graph(n: int, edges) -> Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" + m x "u v" edge-list format (see module docstring)."""
+    return Graph(*_parse_edges(text))
+
+
+def _parse_edges(text: str) -> tuple[int, list]:
+    """Validate edge-list text into (n, edges) without building the graph,
+    so callers can check n before paying for it."""
     data_lines = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -188,7 +194,7 @@ def parse_edge_list(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(f"edge ({u}, {v}) out of range for n={n}")
         edges.append((u, v))
-    return Graph(n, edges)
+    return n, edges
 
 
 def serialize_edge_list(g: Graph) -> str:

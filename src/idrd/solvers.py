@@ -439,6 +439,9 @@ _WITNESS = {
     "idrdn": DRLabeling,
 }
 
+# Names whose computation is exponential and therefore guarded by the size limit.
+_EXPONENTIAL = frozenset(_WITNESS) | {"packing"}
+
 
 def _exact(g: Graph, name: str, size_limit: int | None):
     _guard(g.n, size_limit)
@@ -515,7 +518,9 @@ def _matching_partners(g: Graph) -> list:
 
     Augmenting-path search with blossom contraction (base array), O(V^3).
     Vertices without neighbors are never searched from: nothing can match
-    them, and each search allocates arrays of length n.
+    them.  The search arrays are allocated once; each search records the
+    vertices whose entries it sets and resets only those, so a search that
+    contracts no blossom costs what it explores, not O(n).
     """
     n = g.n
     adj = [g.adjacency(v) for v in range(n)]
@@ -527,8 +532,10 @@ def _matching_partners(g: Graph) -> list:
                     match[v] = u
                     match[u] = v
                     break
+    used = [False] * n
     p = [-1] * n
     base = list(range(n))
+    touched = []
 
     def lca(a: int, b: int) -> int:
         used = [False] * n
@@ -549,15 +556,13 @@ def _matching_partners(g: Graph) -> list:
             blossom[base[v]] = True
             blossom[base[match[v]]] = True
             p[v] = child
+            touched.append(v)
             child = match[v]
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        nonlocal p, base
-        used = [False] * n
-        p = [-1] * n
-        base = list(range(n))
         used[root] = True
+        touched.append(root)
         queue = deque([root])
         while queue:
             v = queue.popleft()
@@ -572,11 +577,13 @@ def _matching_partners(g: Graph) -> list:
                     for i in range(n):
                         if blossom[base[i]]:
                             base[i] = cur
+                            touched.append(i)
                             if not used[i]:
                                 used[i] = True
                                 queue.append(i)
                 elif p[to] == -1:
                     p[to] = v
+                    touched.append(to)
                     if match[to] == -1:
                         while to != -1:
                             pv = p[to]
@@ -586,12 +593,18 @@ def _matching_partners(g: Graph) -> list:
                             to = ppv
                         return True
                     used[match[to]] = True
+                    touched.append(match[to])
                     queue.append(match[to])
         return False
 
     for v in range(n):
         if match[v] == -1 and adj[v]:
             find_path(v)
+            for t in touched:
+                used[t] = False
+                p[t] = -1
+                base[t] = t
+            touched.clear()
     return match
 
 
@@ -718,6 +731,18 @@ class InvariantTable:
     not_applicable: dict = field(default_factory=dict)
 
 
+def _invariant_names(which) -> list:
+    """The requested names (all known ones for None); unknown names raise
+    ValueError."""
+    if which is None:
+        return list(INVARIANT_NAMES)
+    names = list(which)
+    for name in names:
+        if name not in INVARIANT_NAMES:
+            raise ValueError(f"unknown invariant {name!r}")
+    return names
+
+
 def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> InvariantTable:
     """Compute the requested invariants (all known ones by default).
 
@@ -726,13 +751,7 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
     marker when the graph has an isolated vertex.  Unknown names raise
     ValueError.
     """
-    if which is None:
-        names = list(INVARIANT_NAMES)
-    else:
-        names = list(which)
-        for name in names:
-            if name not in INVARIANT_NAMES:
-                raise ValueError(f"unknown invariant {name!r}")
+    names = _invariant_names(which)
     table = InvariantTable()
     exact = None
     match = None

@@ -129,6 +129,34 @@ def test_solve_size_limit(capsys, monkeypatch):
     assert "max_degree = 2" in out and "max_matching = 15" in out
 
 
+_HUGE_ORDER_ERROR = (
+    "error: graph order 1000000000 exceeds the exact-solver limit 24"
+    " (set IDRD_SIZE_LIMIT to override)\n")
+
+
+@pytest.mark.parametrize("argv, stdin_text, code, err", [
+    (["solve", "--input", "-", "--json"], "1000000000 0\n", 3, _HUGE_ORDER_ERROR),
+    (["bounds", "--input", "-", "--json"], "1000000000 0\n", 3, _HUGE_ORDER_ERROR),
+    (["classify", "--input", "-", "--json"], "1000000000 0\n", 4,
+     "error: input is not a tree\n"),
+    (["solve", "--input", "-", "--json"], "1000000000 3\n", 2,
+     "error: expected 3 edge lines, found 0\n"),
+    (["bounds", "--input", "-", "--json"], "1000000000 3\n", 2,
+     "error: expected 3 edge lines, found 0\n"),
+    (["classify", "--input", "-", "--json"], "1000000000 3\n", 2,
+     "error: expected 3 edge lines, found 0\n"),
+    (["solve", "--input", "-", "--invariants", "nope"], "1000000000 0\n", 2,
+     "error: unknown invariant 'nope'\n"),
+])
+def test_edge_list_checks_run_before_the_graph_is_built(
+        argv, stdin_text, code, err, capsys, monkeypatch):
+    # Building a 10^9-vertex graph first would need tens of gigabytes.
+    start = time.perf_counter()
+    got = run(argv, capsys, monkeypatch, stdin_text=stdin_text)
+    assert time.perf_counter() - start < 1.0
+    assert got == (code, "", err)
+
+
 # ---------------------------------------------------------------------------
 # family
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from idrd import (
     maximal_independent_sets,
     min_edge_cover,
     packing_number,
+    random_graph,
+    random_tree,
     tree_idn,
     tree_idrdn,
     tree_ir2dn,
@@ -318,6 +320,84 @@ def test_matching_skips_isolated_vertices():
     assert time.perf_counter() - start < 1.0
     assert table.entries == {"max_matching": 0}
     assert table.witnesses == {"max_matching": ()}
+
+
+def test_matching_is_fast_on_large_trees():
+    # A search that reset length-n arrays would cost O(n^2): seconds here.
+    t = random_tree(40000, 11)
+    parent = [-1] * t.n
+    order = [0]
+    for v in order:
+        for u in t.adjacency(v):
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    matched = [False] * t.n
+    greedy = 0
+    for v in reversed(order[1:]):
+        if not matched[v] and not matched[parent[v]]:
+            matched[v] = matched[parent[v]] = True
+            greedy += 1
+    start = time.perf_counter()
+    assert max_matching(t) == greedy
+    table = compute_invariants(t, ["max_matching", "min_edge_cover"])
+    assert time.perf_counter() - start < 1.0
+    assert table.entries == {"max_matching": greedy, "min_edge_cover": t.n - greedy}
+
+
+# Matching and edge-cover witnesses pinned on graphs with odd cycles.  Every
+# graph but the Petersen graph makes the search contract a blossom (the
+# Petersen graph is matched by the greedy start alone).
+@pytest.mark.parametrize("g, matching, cover", [
+    (
+        build_graph(10, [
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+        ]),
+        ((0, 1), (2, 3), (4, 9), (5, 7), (6, 8)),
+        ((0, 1), (2, 3), (4, 9), (5, 7), (6, 8)),
+    ),
+    (
+        # two triangles joined by the path 2-3-4
+        build_graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]),
+        ((0, 1), (2, 3), (4, 5)),
+        ((0, 1), (2, 3), (4, 5), (4, 6)),
+    ),
+    (
+        random_graph(16, 0.2, 3),
+        ((0, 4), (1, 14), (2, 6), (3, 9), (5, 12), (7, 10), (8, 11)),
+        ((0, 4), (1, 14), (2, 6), (3, 9), (5, 12), (7, 10), (7, 13), (8, 11),
+         (11, 15)),
+    ),
+    (
+        random_graph(20, 0.2, 5),
+        ((0, 19), (1, 5), (2, 17), (3, 13), (4, 10), (6, 16), (7, 8), (9, 18),
+         (11, 15), (12, 14)),
+        ((0, 19), (1, 5), (2, 17), (3, 13), (4, 10), (6, 16), (7, 8), (9, 18),
+         (11, 15), (12, 14)),
+    ),
+    (
+        random_graph(24, 0.1, 4),
+        ((0, 22), (1, 10), (2, 21), (3, 23), (4, 18), (5, 19), (6, 9), (7, 16),
+         (8, 12), (11, 13), (15, 17)),
+        ((0, 22), (1, 10), (2, 21), (3, 23), (4, 18), (5, 19), (6, 9), (7, 16),
+         (8, 12), (8, 20), (11, 13), (14, 22), (15, 17)),
+    ),
+    (
+        random_graph(30, 0.1, 4),
+        ((0, 22), (1, 15), (2, 9), (3, 25), (4, 20), (5, 19), (6, 14), (7, 29),
+         (8, 23), (10, 27), (11, 18), (12, 28), (13, 24), (17, 21)),
+        None,
+    ),
+])
+def test_matching_witnesses_are_pinned(g, matching, cover):
+    table = compute_invariants(g, ["max_matching", "min_edge_cover"])
+    assert table.witnesses["max_matching"] == matching
+    if cover is None:
+        assert table.not_applicable == {"min_edge_cover": "graph has an isolated vertex"}
+    else:
+        assert table.witnesses["min_edge_cover"] == cover
 
 
 # ---------------------------------------------------------------------------
