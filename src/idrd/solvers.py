@@ -42,9 +42,13 @@ domination", Discrete Appl. Math. 211 (2016): some minimum double Roman
 dominating function assigns no vertex the value 1, and with labels in {2, 3}
 "a 3-neighbor or two 2-neighbors" is exactly "neighbor sum >= 3".
 `_threshold_search` assigns labels vertex by vertex in BFS order, pruned by
-a fractional lower bound computed from the vertices not yet defended (each
-future weight unit placed at a vertex can serve at most 1+Δ closed-neighbor
-demands).  The corresponding independent number provides the starting
+the per-vertex fractional domination bound (van Rooij & Bodlaender, "Exact
+algorithms for dominating set", Discrete Appl. Math. 159 (2011)): each vertex
+not yet defended adds its deficit divided by c(v) = 1 + the largest degree
+in N[v].  A label x at u lowers each of the 1 + deg(u) deficits in N[u] by
+at most x, and each of those vertices has c(v) >= 1 + deg(u), so the sum
+drops by at most x.  The sum is kept exactly, as an integer, and updated as
+labels are set.  The corresponding independent number provides the starting
 incumbent.
 
 Exact exponential solvers refuse graphs larger than 24 vertices unless the
@@ -54,6 +58,7 @@ lexicographically smallest positive set; the branch-and-bound witnesses are
 the deterministic first optimum found.
 """
 
+import math
 import os
 from collections import deque
 from dataclasses import dataclass, field
@@ -348,11 +353,18 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
     every 0-vertex's neighbors sum to at least k, as (weight, label per vertex).
 
     Vertices are labeled in BFS order, trying `labels` in the given order; a
-    vertex is checked as soon as its closed neighborhood is labeled.  The
-    lower bound adds one deficit per vertex not yet defended -- k minus what
-    it receives for a 0-vertex, the smaller of that and the least positive
-    label for an unlabeled one -- and divides by 1 + Δ.  `incumbent` is a
-    valid labeling; the search only looks for strictly lighter ones.
+    vertex is checked as soon as its closed neighborhood is labeled.  Each
+    vertex v not yet defended owes a deficit -- k minus what it receives for
+    a 0-vertex, the smaller of that and the least positive label for an
+    unlabeled one -- and the lower bound on the weight still to place is the
+    sum of deficit(v) / c(v), with c(v) = 1 + the largest degree in N[v]
+    (the fractional domination bound of van Rooij & Bodlaender, "Exact
+    algorithms for dominating set", Discrete Appl. Math. 159 (2011)).  It is
+    sound: a label x at u lowers each deficit in N[u] by at most x, and each
+    of those 1 + deg(u) vertices has c(v) >= 1 + deg(u), so the sum drops by
+    at most x.  The sum is kept as an integer scaled by the lcm of the c(v)
+    and updated in O(deg v) per label.  `incumbent` is a valid labeling; the
+    search only looks for strictly lighter ones.
     """
     n = g.n
     best = [sum(incumbent), list(incumbent)]
@@ -366,44 +378,49 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
         for w in g.adjacency(u):
             cp = max(cp, pos[w])
         close_list[cp].append(u)
-    denom = 1 + g.max_degree()
+    adj = [g.adjacency(v) for v in range(n)]
+    cap = [1 + max(len(adj[u]) for u in (v, *adj[v])) for v in range(n)]
+    scale = math.lcm(*set(cap))
+    unit = [scale // c for c in cap]
     least = min(x for x in labels if x)
-    # deficit of an unlabeled vertex that receives r < k
-    short = [min(least, k - r) for r in range(k)]
+    # deficit of a vertex that receives r, unlabeled or labeled 0 (0 from r = k on)
+    pad = [0] * max(labels)
+    open_deficit = [min(least, k - r) for r in range(k)] + pad
+    zero_deficit = [k - r for r in range(k)] + pad
     vals = [-1] * n
     received = [0] * n
-    adj = [g.adjacency(v) for v in range(n)]
 
-    def deficit() -> int:
-        tot = 0
-        for r, x in zip(received, vals):
-            if r < k and x <= 0:
-                tot += k - r if x == 0 else short[r]
-        return tot
-
-    def dfs(i: int, w: int) -> None:
+    def dfs(i: int, w: int, owed: int) -> None:
         if i == n:
             if w < best[0]:
                 best[0], best[1] = w, vals.copy()
             return
         v = order[i]
+        r = received[v]
         for val in labels:
             w2 = w + val
             if w2 >= best[0]:
                 continue
             vals[v] = val
+            owed2 = owed
+            if r < k:
+                owed2 -= (open_deficit[r] - (0 if val else zero_deficit[r])) * unit[v]
             if val:
                 for u in adj[v]:
-                    received[u] += val
+                    ru = received[u]
+                    if ru < k and vals[u] <= 0:
+                        d = zero_deficit if vals[u] == 0 else open_deficit
+                        owed2 -= (d[ru] - d[ru + val]) * unit[u]
+                    received[u] = ru + val
             ok = all(vals[u] or received[u] >= k for u in close_list[i])
-            if ok and w2 + -(-deficit() // denom) < best[0]:
-                dfs(i + 1, w2)
+            if ok and w2 + -(-owed2 // scale) < best[0]:
+                dfs(i + 1, w2, owed2)
             if val:
                 for u in adj[v]:
                     received[u] -= val
             vals[v] = -1
 
-    dfs(0, 0)
+    dfs(0, 0, sum(open_deficit[0] * x for x in unit))
     return best[0], best[1]
 
 
@@ -520,7 +537,11 @@ def _matching_partners(g: Graph) -> list:
     Vertices without neighbors are never searched from: nothing can match
     them.  The search arrays are allocated once; each search records the
     vertices whose entries it sets and resets only those, so a search that
-    contracts no blossom costs what it explores, not O(n).
+    contracts no blossom costs what it explores, not O(n).  A contraction
+    likewise visits only the blossom: `members` holds the vertices of each
+    base a search has contracted into (any other base is alone), and
+    `stamp[b]` is +c while base b is on the lca path of contraction c and -c
+    once b is in its blossom, so neither mark needs a reset.
     """
     n = g.n
     adj = [g.adjacency(v) for v in range(n)]
@@ -536,31 +557,32 @@ def _matching_partners(g: Graph) -> list:
     p = [-1] * n
     base = list(range(n))
     touched = []
+    members = {}
+    stamp = [0] * n
+    contractions = 0
 
     def lca(a: int, b: int) -> int:
-        used = [False] * n
         while True:
             a = base[a]
-            used[a] = True
+            stamp[a] = contractions
             if match[a] == -1:
                 break
             a = p[match[a]]
-        while True:
-            b = base[b]
-            if used[b]:
-                return b
-            b = p[match[b]]
+        while stamp[base[b]] != contractions:
+            b = p[match[base[b]]]
+        return base[b]
 
     def mark_path(v: int, b: int, child: int, blossom: list) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.append(base[v])
+            blossom.append(base[match[v]])
             p[v] = child
             touched.append(v)
             child = match[v]
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
+        nonlocal contractions
         used[root] = True
         touched.append(root)
         queue = deque([root])
@@ -570,17 +592,27 @@ def _matching_partners(g: Graph) -> list:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    contractions += 1
                     cur = lca(v, to)
-                    blossom = [False] * n
+                    blossom = []
                     mark_path(v, cur, to, blossom)
                     mark_path(to, cur, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            touched.append(i)
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
+                    inside = []
+                    for b in blossom:
+                        if stamp[b] != -contractions:
+                            stamp[b] = -contractions
+                            inside += members.pop(b, (b,))
+                    inside.sort()
+                    for i in inside:
+                        base[i] = cur
+                        touched.append(i)
+                        if not used[i]:
+                            used[i] = True
+                            queue.append(i)
+                    if stamp[cur] == -contractions:
+                        members[cur] = inside
+                    else:
+                        members.setdefault(cur, [cur]).extend(inside)
                 elif p[to] == -1:
                     p[to] = v
                     touched.append(to)
@@ -605,6 +637,7 @@ def _matching_partners(g: Graph) -> list:
                 p[t] = -1
                 base[t] = t
             touched.clear()
+            members.clear()
     return match
 
 

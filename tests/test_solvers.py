@@ -37,6 +37,7 @@ from idrd import (
     tree_idrdn,
     tree_ir2dn,
 )
+from idrd.solvers import _THRESHOLD, _threshold_search
 
 from conftest import (
     complete_graph,
@@ -253,6 +254,84 @@ def test_branch_and_bound_witnesses_are_valid():
         assert g.is_dominating(set(w["gamma"])) and len(w["gamma"]) == e["gamma"]
         assert is_r2df(g, w["gamma_r2"]) and w["gamma_r2"].weight() == e["gamma_r2"]
         assert is_drdf(g, w["gamma_dr"]) and w["gamma_dr"].weight() == e["gamma_dr"]
+
+
+# Branch-and-bound witnesses pinned.  The lower bound may cut only subtrees
+# that cannot beat the incumbent, so a sharper bound must leave the sequence
+# of incumbent updates, and with it these witnesses, unchanged.
+# random_graph(12, 0.15, 2) has components of 5, 2 and five times 1 vertices.
+@pytest.mark.parametrize("g, gamma, r2, dr", [
+    (
+        build_graph(10, [
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+        ]),
+        (0, 2, 6),
+        [1, 0, 1, 0, 0, 0, 0, 0, 1, 1],
+        [2, 0, 2, 0, 0, 0, 0, 0, 2, 2],
+    ),
+    (
+        random_graph(12, 0.15, 2),
+        (0, 2, 4, 5, 6, 7, 8, 11),
+        [1, 0, 2, 0, 1, 1, 1, 1, 1, 0, 0, 2],
+        [2, 0, 3, 0, 2, 2, 2, 2, 2, 0, 0, 3],
+    ),
+    (
+        random_graph(16, 0.2, 3),
+        (7, 11, 12, 14),
+        [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 1, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 3, 0, 3, 0],
+    ),
+    (
+        random_graph(20, 0.15, 5),
+        (1, 6, 8, 12, 13, 17),
+        [1, 1, 1, 0, 0, 0, 2, 0, 2, 0, 0, 1, 0, 1, 0, 0, 0, 0, 1, 0],
+        [0, 2, 2, 0, 0, 0, 3, 0, 3, 0, 0, 0, 3, 2, 0, 0, 0, 0, 2, 0],
+    ),
+    (
+        random_graph(24, 0.1, 1258),
+        (0, 1, 4, 8, 9, 13, 14, 15, 18, 23),
+        [0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1],
+        [3, 0, 0, 3, 0, 0, 3, 0, 0, 2, 2, 3, 0, 2, 0, 3, 0, 0, 2, 0, 0, 0, 0, 2],
+    ),
+])
+def test_threshold_witnesses_are_pinned(g, gamma, r2, dr):
+    witnesses = compute_invariants(g, ["gamma", "gamma_r2", "gamma_dr"]).witnesses
+    assert witnesses["gamma"] == gamma
+    assert witnesses["gamma_r2"] == R2Labeling(r2)
+    assert witnesses["gamma_dr"] == DRLabeling(dr)
+
+
+# Each oracle over the search's own label set: {0, 2, 3} for gamma_dr, whose
+# equality with {0, 1, 2, 3} is tested on its own below.
+_BRUTE_THRESHOLD = {
+    "gamma": oracles.brute_gamma,
+    "gamma_r2": oracles.brute_gamma_r2,
+    "gamma_dr": lambda n, edges: oracles.brute_gamma_dr(n, edges, allowed=(0, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_THRESHOLD))
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(max_n=8))
+def test_threshold_bound_alone_is_sound(name, g):
+    # Every vertex on the largest label is valid but far from optimal, so the
+    # lower bound, not the incumbent, does the pruning.
+    labels, k, _ = _THRESHOLD[name]
+    value, vals = _threshold_search(g, labels, k, [max(labels)] * g.n)
+    assert value == _BRUTE_THRESHOLD[name](g.n, g.edges)
+    assert sum(vals) == value
+    adj = oracles.adjacency(g.n, g.edges)
+    assert all(x or sum(vals[u] for u in adj[v]) >= k for v, x in enumerate(vals))
+
+
+def test_plain_numbers_at_order_24_are_fast():
+    g = random_graph(24, 0.1, 1258)
+    start = time.perf_counter()
+    entries = compute_invariants(g, ["gamma", "gamma_r2", "gamma_dr"]).entries
+    assert time.perf_counter() - start < 5.0
+    assert (entries["gamma"], entries["gamma_r2"], entries["gamma_dr"]) == (10, 14, 25)
 
 
 # ---------------------------------------------------------------------------
