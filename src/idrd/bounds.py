@@ -9,11 +9,12 @@ skip marker instead of being dropped, so reports always have one row per
 known bound.  `tight` is reported only for "<=" rows, as lhs == rhs.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import asdict, dataclass, field
 
 from .graph import Graph, random_graph, random_tree, serialize_edge_list
 from .rng import SplitMix64
-from .solvers import _resolve_limit, compute_invariants
+from .solvers import compute_invariants, resolve_limit
 
 # Every bound record in report order: (name, anchor, applicability, relation).
 _RECORDS = (
@@ -86,35 +87,11 @@ class BoundCheck:
     skip_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "applicability": self.applicability,
-            "relation": self.relation,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "holds": self.holds,
-            "tight": self.tight,
-            "skipped": self.skipped,
-            "skip_reason": self.skip_reason,
-        }
+        return asdict(self)
 
 
-def _evaluated(name, anchor, applicability, relation, lhs, rhs) -> BoundCheck:
-    if relation == "<=":
-        holds = lhs <= rhs
-    elif relation == "<":
-        holds = lhs < rhs
-    else:
-        holds = lhs == rhs
-    tight = relation == "<=" and lhs == rhs
-    return BoundCheck(name, anchor, applicability, relation, lhs, rhs, holds, tight)
-
-
-def _skipped(name, anchor, applicability, relation, reason) -> BoundCheck:
-    return BoundCheck(
-        name, anchor, applicability, relation, None, None, True, False, True, reason
-    )
+# relation -> whether lhs and rhs satisfy it
+_HOLDS = {"<=": operator.le, "<": operator.lt, "=": operator.eq}
 
 
 def check_bounds(g: Graph, size_limit: int | None = None) -> list:
@@ -160,12 +137,15 @@ def check_bounds(g: Graph, size_limit: int | None = None) -> list:
         "B12": (int(idr == 3), int(big_delta == n - 1)),
     }
     out = []
-    for name, anchor, applicability, relation in _RECORDS:
+    for record in _RECORDS:
+        name, _, applicability, relation = record
         reason = skip_reasons[applicability]
-        if reason is None:
-            out.append(_evaluated(name, anchor, applicability, relation, *sides[name]))
-        else:
-            out.append(_skipped(name, anchor, applicability, relation, reason))
+        if reason is not None:
+            out.append(BoundCheck(*record, None, None, True, False, True, reason))
+            continue
+        lhs, rhs = sides[name]
+        tight = relation == "<=" and lhs == rhs
+        out.append(BoundCheck(*record, lhs, rhs, _HOLDS[relation](lhs, rhs), tight))
     return out
 
 
@@ -215,7 +195,7 @@ def fuzz(
         raise ValueError(f"unknown graph class {graph_class!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    limit = _resolve_limit(size_limit)
+    limit = resolve_limit(size_limit)
     if not 1 <= max_n <= limit:
         raise ValueError(f"max_n must be in [1, {limit}] (exact-solver guard)")
     p_lo, p_hi = float(p_range[0]), float(p_range[1])

@@ -19,29 +19,21 @@ rejects a header with fewer than n - 1 edges before it builds the graph.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 
 from .bounds import GRAPH_CLASSES, check_bounds, fuzz
-from .families import (
-    _family_order,
-    classify_tree,
-    formula_idrdn,
-    generate,
-    parse_family_spec,
-    realize,
-)
-from .graph import EdgeListParseError, _parse_edges, build_graph, serialize_edge_list
-from .labelings import DRLabeling, R2Labeling, RainbowLabeling
+from .families import classify_tree, formula_idrdn, generate, parse_family_spec, realize
+from .graph import EdgeListParseError, build_graph, parse_edges, serialize_edge_list
+from .labelings import DRLabeling, RainbowLabeling
 from .solvers import (
-    _EXPONENTIAL,
     SizeLimitError,
-    _guard,
-    _invariant_names,
-    _resolve_limit,
+    admit,
     compute_invariants,
     idrdn,
+    resolve_limit,
     tree_idn,
     tree_idrdn,
     tree_ir2dn,
@@ -81,13 +73,13 @@ def _read_edges(path: str) -> tuple[int, list]:
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return _parse_edges(text)
+    return parse_edges(text)
 
 
 def _witness_json(witness):
     if isinstance(witness, RainbowLabeling):
         return [sorted(s) for s in witness.values]
-    if isinstance(witness, (DRLabeling, R2Labeling)):
+    if isinstance(witness, DRLabeling):
         return list(witness.values)
     if witness and isinstance(witness[0], tuple):
         return [list(e) for e in witness]
@@ -95,7 +87,7 @@ def _witness_json(witness):
 
 
 def _witness_lines(witness):
-    if isinstance(witness, (DRLabeling, R2Labeling, RainbowLabeling)):
+    if isinstance(witness, (DRLabeling, RainbowLabeling)):
         return ["  " + line for line in witness.witness_text().splitlines()]
     if witness and isinstance(witness[0], tuple):
         return ["  edges: " + " ".join(f"{u}-{v}" for u, v in witness)]
@@ -108,12 +100,8 @@ def _cmd_solve(args) -> int:
     except (OSError, EdgeListParseError) as exc:
         return _error(EXIT_INPUT, str(exc))
     try:
-        names = args.invariants.split(",") if args.invariants else None
-        names = _invariant_names(names)
-        # An empty graph is free to build; left to compute_invariants, its
-        # errors keep their order even under a negative limit.
-        if n and _EXPONENTIAL.intersection(names):
-            _guard(n, args.size_limit)
+        which = args.invariants.split(",") if args.invariants else None
+        names = admit(n, which, args.size_limit)
         g = build_graph(n, edges)
         table = compute_invariants(g, names, size_limit=args.size_limit)
     except SizeLimitError as exc:
@@ -154,7 +142,7 @@ def _cmd_family(args) -> int:
             return _error(EXIT_DOMAIN, str(exc))
     if args.mode in ("solve", "both"):
         try:
-            _guard(_family_order(spec), args.size_limit)
+            admit(spec.order, ["idrdn"], args.size_limit)
             payload["solver"] = idrdn(generate(spec), size_limit=args.size_limit)[0]
         except SizeLimitError as exc:
             return _error(EXIT_SIZE, str(exc))
@@ -247,8 +235,7 @@ def _cmd_bounds(args) -> int:
     except (OSError, EdgeListParseError) as exc:
         return _error(EXIT_INPUT, str(exc))
     try:
-        if n:  # an empty graph is left to check_bounds' own error
-            _guard(n, args.size_limit)
+        admit(n, None, args.size_limit)  # check_bounds reads exponential invariants
         g = build_graph(n, edges)
         records = check_bounds(g, size_limit=args.size_limit)
     except SizeLimitError as exc:
@@ -305,7 +292,9 @@ def _cmd_fuzz(args) -> int:
     return EXIT_VIOLATIONS if report.violations else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared; do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="idrd",
         description=(
@@ -380,7 +369,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.size_limit = _resolve_limit(None)
+        args.size_limit = resolve_limit()
     except ValueError as exc:
         return _error(EXIT_INPUT, str(exc))
     return args.func(args)

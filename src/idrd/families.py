@@ -61,12 +61,10 @@ class FamilySpec:
             if not cond:
                 raise ValueError(f"invalid {kind} parameters {params}: {msg}")
 
-        if kind == "path":
+        if kind in ("path", "complete"):
             need(1, params[0] >= 1, "order must be >= 1")
         elif kind == "cycle":
             need(1, params[0] >= 3, "order must be >= 3")
-        elif kind == "complete":
-            need(1, params[0] >= 1, "order must be >= 1")
         elif kind == "complete_multipartite":
             if len(params) < 2:
                 raise ValueError("complete_multipartite takes at least 2 part sizes")
@@ -86,6 +84,18 @@ class FamilySpec:
             )
         elif kind == "corona_of_star":
             need(1, params[0] >= 1, "star size must be >= 1")
+
+    @property
+    def order(self) -> int:
+        """Vertex count of generate(self), without building the graph."""
+        p = self.params
+        return {
+            "complete_multipartite": sum(p),
+            "star": p[0] + 1,
+            "double_star": sum(p) + 2,
+            "subdivided_double_star": 2 * sum(p) + 3,
+            "corona_of_star": 2 * p[0] + 2,
+        }.get(self.kind, p[0])
 
     def text(self) -> str:
         """Canonical short textual form, e.g. 'kpartite:2,2,5'."""
@@ -111,15 +121,12 @@ def parse_family_spec(text: str) -> FamilySpec:
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph for spec under the module's canonical numbering."""
-    kind, params = spec.kind, spec.params
+    kind, params, n = spec.kind, spec.params, spec.order
     if kind == "path":
-        n = params[0]
         return build_graph(n, [(i, i + 1) for i in range(n - 1)])
     if kind == "cycle":
-        n = params[0]
         return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
     if kind == "complete":
-        n = params[0]
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "complete_multipartite":
         block = []
@@ -131,23 +138,22 @@ def generate(spec: FamilySpec) -> Graph:
         for a in range(len(params)):
             for b in range(a + 1, len(params)):
                 edges.extend((u, v) for u in block[a] for v in block[b])
-        return build_graph(start, edges)
+        return build_graph(n, edges)
     if kind == "star":
-        s = params[0]
-        return build_graph(s + 1, [(0, i) for i in range(1, s + 1)])
+        return build_graph(n, [(0, i) for i in range(1, n)])
     if kind == "double_star":
         r, s = params
         edges = [(0, 1)]
         edges += [(0, 2 + i) for i in range(r)]
         edges += [(1, r + 2 + i) for i in range(s)]
-        return build_graph(r + s + 2, edges)
+        return build_graph(n, edges)
     if kind == "subdivided_star":
-        k, j = params
+        j = params[1]
         edges = []
         for i in range(j):
             edges += [(0, 1 + 2 * i), (1 + 2 * i, 2 + 2 * i)]
-        edges += [(0, v) for v in range(2 * j + 1, k)]
-        return build_graph(k, edges)
+        edges += [(0, v) for v in range(2 * j + 1, n)]
+        return build_graph(n, edges)
     if kind == "subdivided_double_star":
         r, s = params
         edges = [(0, 2), (1, 2)]
@@ -156,31 +162,12 @@ def generate(spec: FamilySpec) -> Graph:
         base = 3 + 2 * r
         for i in range(s):
             edges += [(1, base + 2 * i), (base + 2 * i, base + 1 + 2 * i)]
-        return build_graph(2 * (r + s) + 3, edges)
-    if kind == "corona_of_star":
-        t = params[0]
-        edges = [(0, i) for i in range(1, t + 1)]
-        edges += [(v, t + 1 + v) for v in range(t + 1)]
-        return build_graph(2 * t + 2, edges)
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
-def _family_order(spec: FamilySpec) -> int:
-    """Order of generate(spec), without building the graph."""
-    kind, params = spec.kind, spec.params
-    if kind in ("path", "cycle", "complete", "subdivided_star"):
-        return params[0]
-    if kind == "complete_multipartite":
-        return sum(params)
-    if kind == "star":
-        return params[0] + 1
-    if kind == "double_star":
-        return params[0] + params[1] + 2
-    if kind == "subdivided_double_star":
-        return 2 * (params[0] + params[1]) + 3
-    if kind == "corona_of_star":
-        return 2 * params[0] + 2
-    raise ValueError(f"unknown family kind {kind!r}")
+        return build_graph(n, edges)
+    # corona_of_star: the star on t + 1 vertices, one pendant per star vertex
+    t = params[0]
+    edges = [(0, i) for i in range(1, t + 1)]
+    edges += [(v, t + 1 + v) for v in range(t + 1)]
+    return build_graph(n, edges)
 
 
 def formula_idrdn(spec: FamilySpec) -> int:

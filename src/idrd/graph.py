@@ -54,10 +54,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, v: int) -> frozenset:
-        self._check_vertex(v)
-        return frozenset(self._adj[v])
-
     def adjacency(self, v: int) -> tuple:
         """Neighbors of v as a sorted tuple (deterministic iteration order)."""
         self._check_vertex(v)
@@ -154,10 +150,10 @@ def build_graph(n: int, edges) -> Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" + m x "u v" edge-list format (see module docstring)."""
-    return Graph(*_parse_edges(text))
+    return Graph(*parse_edges(text))
 
 
-def _parse_edges(text: str) -> tuple[int, list]:
+def parse_edges(text: str) -> tuple[int, list]:
     """Validate edge-list text into (n, edges) without building the graph,
     so callers can check n before paying for it."""
     data_lines = []

@@ -31,17 +31,29 @@ class ValidationResult:
         return self.ok
 
 
-_OK = ValidationResult(True)
-
-
-def _fail(vertex: int | None, clause: str) -> ValidationResult:
-    return ValidationResult(False, vertex, clause)
-
-
-class DRLabeling:
-    """Assignment of {0,1,2,3} to vertices 0..n-1; weight is the value sum."""
+class _Labeling:
+    """Labels on vertices 0..n-1, compared by type and values."""
 
     __slots__ = ("values",)
+
+    @property
+    def order(self) -> int:
+        return len(self.values)
+
+    def positive_vertices(self) -> frozenset:
+        return frozenset(v for v, x in enumerate(self.values) if x)
+
+    def __eq__(self, other):
+        return type(self) is type(other) and self.values == other.values
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.values))
+
+
+class DRLabeling(_Labeling):
+    """Assignment of {0,1,2,3} to vertices 0..n-1; weight is the value sum."""
+
+    __slots__ = ()
     allowed = (0, 1, 2, 3)
 
     def __init__(self, values):
@@ -51,25 +63,12 @@ class DRLabeling:
                 raise ValueError(f"value {x} at vertex {v} not in {self.allowed}")
         self.values = vals
 
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
     def weight(self) -> int:
         return sum(self.values)
-
-    def positive_vertices(self) -> frozenset:
-        return frozenset(v for v, x in enumerate(self.values) if x > 0)
 
     def witness_text(self) -> str:
         """One 'v value' line per vertex."""
         return "\n".join(f"{v} {x}" for v, x in enumerate(self.values)) + "\n"
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.values == other.values
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.values))
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.values)})"
@@ -82,10 +81,10 @@ class R2Labeling(DRLabeling):
     allowed = (0, 1, 2)
 
 
-class RainbowLabeling:
+class RainbowLabeling(_Labeling):
     """Assignment of subsets of {1,2} to vertices 0..n-1; weight sums set sizes."""
 
-    __slots__ = ("values",)
+    __slots__ = ()
 
     def __init__(self, values):
         vals = []
@@ -96,15 +95,8 @@ class RainbowLabeling:
             vals.append(fs)
         self.values = tuple(vals)
 
-    @property
-    def order(self) -> int:
-        return len(self.values)
-
     def weight(self) -> int:
         return sum(len(s) for s in self.values)
-
-    def positive_vertices(self) -> frozenset:
-        return frozenset(v for v, s in enumerate(self.values) if s)
 
     def witness_text(self) -> str:
         """One 'v {..}' line per vertex, set literals with sorted elements."""
@@ -113,110 +105,68 @@ class RainbowLabeling:
             lines.append(f"{v} {{{','.join(str(c) for c in sorted(s))}}}")
         return "\n".join(lines) + "\n"
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self.values == other.values
-
-    def __hash__(self):
-        return hash(("RainbowLabeling", self.values))
-
     def __repr__(self):
         return f"RainbowLabeling({[set(s) for s in self.values]})"
 
 
-def _sized(g: Graph, f) -> ValidationResult | None:
+# shape -> {label a rule applies to: (test on the neighbors' labels, clause)}
+_RULES = {
+    "drdf": {
+        0: (lambda nb: 3 in nb or nb.count(2) >= 2, "undefended-zero"),
+        1: (lambda nb: max(nb, default=0) >= 2, "undefended-one"),
+    },
+    "r2df": {0: (lambda nb: sum(nb) >= 2, "zero-sum-below-two")},
+    "2rdf": {
+        frozenset(): (lambda nb: frozenset().union(*nb) == {1, 2}, "rainbow-union-incomplete"),
+    },
+}
+
+
+def _check(g: Graph, f, shape: str, independent: bool) -> ValidationResult:
+    """First violation: a size mismatch, then (if `independent`) the first
+    edge u < v with both ends positive, then the smallest vertex that breaks
+    the rule of `shape` for its label."""
     if f.order != g.n:
-        return _fail(None, "size-mismatch")
-    return None
-
-
-def _independence_failure(g: Graph, positive) -> ValidationResult | None:
-    for u, v in g.edges:
-        if u in positive and v in positive:
-            return _fail(min(u, v), "positive-set-not-independent")
-    return None
+        return ValidationResult(False, None, "size-mismatch")
+    vals = f.values
+    if independent:
+        for u, v in g.edges:
+            if vals[u] and vals[v]:
+                return ValidationResult(False, u, "positive-set-not-independent")
+    rules = _RULES[shape]
+    for v, x in enumerate(vals):
+        if x in rules:
+            test, clause = rules[x]
+            if not test([vals[u] for u in g.adjacency(v)]):
+                return ValidationResult(False, v, clause)
+    return ValidationResult(True)
 
 
 def is_drdf(g: Graph, f: DRLabeling) -> ValidationResult:
     """Double Roman validity: 0 needs two 2s or a 3; 1 needs a neighbor >= 2."""
-    bad = _sized(g, f)
-    if bad is not None:
-        return bad
-    vals = f.values
-    for v in range(g.n):
-        x = vals[v]
-        if x == 0:
-            twos = 0
-            has3 = False
-            for u in g.adjacency(v):
-                if vals[u] == 2:
-                    twos += 1
-                elif vals[u] == 3:
-                    has3 = True
-            if not (has3 or twos >= 2):
-                return _fail(v, "undefended-zero")
-        elif x == 1:
-            if all(vals[u] < 2 for u in g.adjacency(v)):
-                return _fail(v, "undefended-one")
-    return _OK
+    return _check(g, f, "drdf", independent=False)
 
 
 def is_idrdf(g: Graph, f: DRLabeling) -> ValidationResult:
     """is_drdf plus independence of the positive vertices."""
-    bad = _sized(g, f)
-    if bad is not None:
-        return bad
-    bad = _independence_failure(g, f.positive_vertices())
-    if bad is not None:
-        return bad
-    return is_drdf(g, f)
+    return _check(g, f, "drdf", independent=True)
 
 
 def is_r2df(g: Graph, f: R2Labeling) -> ValidationResult:
     """Roman {2} validity: labels on N(v) of every 0-vertex sum to >= 2."""
-    bad = _sized(g, f)
-    if bad is not None:
-        return bad
-    vals = f.values
-    for v in range(g.n):
-        if vals[v] == 0:
-            if sum(vals[u] for u in g.adjacency(v)) < 2:
-                return _fail(v, "zero-sum-below-two")
-    return _OK
+    return _check(g, f, "r2df", independent=False)
 
 
 def is_ir2df(g: Graph, f: R2Labeling) -> ValidationResult:
     """is_r2df plus independence of the positive vertices."""
-    bad = _sized(g, f)
-    if bad is not None:
-        return bad
-    bad = _independence_failure(g, f.positive_vertices())
-    if bad is not None:
-        return bad
-    return is_r2df(g, f)
+    return _check(g, f, "r2df", independent=True)
 
 
 def is_2rdf(g: Graph, f: RainbowLabeling) -> ValidationResult:
     """2-rainbow validity: neighbor sets of every ∅-vertex union to {1,2}."""
-    bad = _sized(g, f)
-    if bad is not None:
-        return bad
-    vals = f.values
-    for v in range(g.n):
-        if not vals[v]:
-            seen = set()
-            for u in g.adjacency(v):
-                seen |= vals[u]
-            if seen != {1, 2}:
-                return _fail(v, "rainbow-union-incomplete")
-    return _OK
+    return _check(g, f, "2rdf", independent=False)
 
 
 def is_i2rdf(g: Graph, f: RainbowLabeling) -> ValidationResult:
     """is_2rdf plus independence of the non-empty vertices."""
-    bad = _sized(g, f)
-    if bad is not None:
-        return bad
-    bad = _independence_failure(g, f.positive_vertices())
-    if bad is not None:
-        return bad
-    return is_2rdf(g, f)
+    return _check(g, f, "2rdf", independent=True)

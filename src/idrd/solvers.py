@@ -89,7 +89,9 @@ class SizeLimitError(RuntimeError):
     """Raised when an exact solver is asked for a graph above the size guard."""
 
 
-def _resolve_limit(size_limit: int | None) -> int:
+def resolve_limit(size_limit: int | None = None) -> int:
+    """The size guard's limit: `size_limit` when given, else IDRD_SIZE_LIMIT,
+    else DEFAULT_SIZE_LIMIT; a non-integer IDRD_SIZE_LIMIT raises ValueError."""
     if size_limit is not None:
         return int(size_limit)
     env = os.environ.get("IDRD_SIZE_LIMIT")
@@ -102,7 +104,7 @@ def _resolve_limit(size_limit: int | None) -> int:
 
 
 def _guard(order: int, size_limit: int | None) -> None:
-    limit = _resolve_limit(size_limit)
+    limit = resolve_limit(size_limit)
     if order > limit:
         raise SizeLimitError(
             f"graph order {order} exceeds the exact-solver limit {limit} "
@@ -764,15 +766,17 @@ class InvariantTable:
     not_applicable: dict = field(default_factory=dict)
 
 
-def _invariant_names(which) -> list:
-    """The requested names (all known ones for None); unknown names raise
-    ValueError."""
-    if which is None:
-        return list(INVARIANT_NAMES)
-    names = list(which)
+def admit(order: int, which=None, size_limit: int | None = None) -> list:
+    """The requested invariant names (all for None), checked before a graph
+    of `order` vertices is built: unknown names raise ValueError, and an
+    exponential name on a nonempty graph above the limit raises
+    SizeLimitError.  The empty graph is left to the solvers' own errors."""
+    names = list(INVARIANT_NAMES if which is None else which)
     for name in names:
         if name not in INVARIANT_NAMES:
             raise ValueError(f"unknown invariant {name!r}")
+    if order and _EXPONENTIAL.intersection(names):
+        _guard(order, size_limit)
     return names
 
 
@@ -781,10 +785,10 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
 
     The exact numbers share one MIS pass, and the matching and edge cover
     share one matching.  min_edge_cover is skipped with a not-applicable
-    marker when the graph has an isolated vertex.  Unknown names raise
-    ValueError.
+    marker when the graph has an isolated vertex.  The names are checked by
+    `admit` first.
     """
-    names = _invariant_names(which)
+    names = admit(g.n, which, size_limit)
     table = InvariantTable()
     exact = None
     match = None

@@ -13,7 +13,7 @@ import pytest
 
 import idrd
 from idrd import build_graph, serialize_edge_list
-from idrd.cli import main
+from idrd.cli import build_parser, main
 from idrd.families import generate, parse_family_spec
 
 from conftest import cycle_graph, empty_graph, path_graph
@@ -155,6 +155,53 @@ def test_edge_list_checks_run_before_the_graph_is_built(
     got = run(argv, capsys, monkeypatch, stdin_text=stdin_text)
     assert time.perf_counter() - start < 1.0
     assert got == (code, "", err)
+
+
+_EMPTY_DEGREE = "error: degree of an empty graph is undefined\n"
+_NO_VERTEX = "error: solver needs at least one vertex\n"
+
+
+def _over(order, limit):
+    return (3, f"error: graph order {order} exceeds the exact-solver limit {limit}"
+               " (set IDRD_SIZE_LIMIT to override)\n")
+
+
+# (command and options, stdin, (exit code, stderr) with IDRD_SIZE_LIMIT unset, -1, 0)
+@pytest.mark.parametrize("command, stdin_text, outcomes", [
+    (["solve"], "0 0\n", [(2, _EMPTY_DEGREE)] * 3),
+    (["solve"], "1 0\n", [(0, ""), _over(1, -1), _over(1, 0)]),
+    (["solve", "--invariants", "order,max_degree"], "0 0\n", [(2, _EMPTY_DEGREE)] * 3),
+    (["solve", "--invariants", "order,max_degree"], "1 0\n", [(0, "")] * 3),
+    (["solve", "--invariants", "idn"], "0 0\n", [(2, _NO_VERTEX), _over(0, -1), (2, _NO_VERTEX)]),
+    (["solve", "--invariants", "idn"], "1 0\n", [(0, ""), _over(1, -1), _over(1, 0)]),
+    (["bounds"], "0 0\n", [(2, "error: bound checks need at least one vertex\n")] * 3),
+    (["bounds"], "1 0\n", [(0, ""), _over(1, -1), _over(1, 0)]),
+])
+def test_tiny_inputs_keep_their_error_order_under_odd_limits(
+        command, stdin_text, outcomes, capsys, monkeypatch):
+    argv = [command[0], "--input", "-", "--json", *command[1:]]
+    for env, (code, err) in zip((None, "-1", "0"), outcomes):
+        if env is None:
+            monkeypatch.delenv("IDRD_SIZE_LIMIT", raising=False)
+        else:
+            monkeypatch.setenv("IDRD_SIZE_LIMIT", env)
+        got_code, out, got_err = run(argv, capsys, monkeypatch, stdin_text=stdin_text)
+        assert (got_code, got_err) == (code, err), env
+        assert (out != "") == (code == 0), env
+
+
+def test_parser_survives_an_argparse_error(capsys, monkeypatch):
+    text = serialize_edge_list(cycle_graph(5))
+    argv = ["solve", "--input", "-", "--witness", "--json"]
+    build_parser.cache_clear()
+    fresh = run(argv, capsys, monkeypatch, stdin_text=text)
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", "-", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(argv, capsys, monkeypatch, stdin_text=text) == fresh
+    assert fresh[0] == 0 and fresh[2] == ""
 
 
 # ---------------------------------------------------------------------------

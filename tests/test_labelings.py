@@ -155,3 +155,51 @@ def test_rainbow_check_agrees_with_definition(case):
     assert bool(is_2rdf(g, RainbowLabeling(vals))) == expected
     ind = positive_independent(adj, vals)
     assert bool(is_i2rdf(g, RainbowLabeling(vals))) == (expected and ind)
+
+
+_VALIDATORS = (
+    (is_drdf, DRLabeling, (0, 1, 2, 3), False),
+    (is_idrdf, DRLabeling, (0, 1, 2, 3), True),
+    (is_r2df, R2Labeling, (0, 1, 2), False),
+    (is_ir2df, R2Labeling, (0, 1, 2), True),
+    (is_2rdf, RainbowLabeling, _RAINBOW_SETS, False),
+    (is_i2rdf, RainbowLabeling, _RAINBOW_SETS, True),
+)
+
+
+def _broken_clause(shape, x, around):
+    """The clause a vertex labeled x, with neighbor labels `around`, breaks."""
+    if shape is RainbowLabeling:
+        return "rainbow-union-incomplete" if not x and set().union(*around) != {1, 2} else None
+    if shape is R2Labeling:
+        return "zero-sum-below-two" if x == 0 and sum(around) < 2 else None
+    if x == 0 and 3 not in around and around.count(2) < 2:
+        return "undefended-zero"
+    if x == 1 and all(y < 2 for y in around):
+        return "undefended-one"
+    return None
+
+
+@pytest.mark.parametrize(
+    "check, shape, choices, independent", _VALIDATORS, ids=[v[0].__name__ for v in _VALIDATORS])
+@given(data=st.data())
+def test_every_validator_reports_its_first_violation(check, shape, choices, independent, data):
+    g = data.draw(graphs(min_n=0, max_n=6))
+    size = data.draw(st.sampled_from((g.n, g.n, g.n, g.n + 1, abs(g.n - 1))))
+    vals = [data.draw(st.sampled_from(choices)) for _ in range(size)]
+    adj = adjacency(g.n, g.edges)
+    expected = (True, None, None)
+    if size != g.n:
+        expected = (False, None, "size-mismatch")
+    else:
+        clashes = [min(e) for e in sorted(g.edges) if vals[e[0]] and vals[e[1]]]
+        if independent and clashes:
+            expected = (False, clashes[0], "positive-set-not-independent")
+        else:
+            for v in range(g.n):
+                clause = _broken_clause(shape, vals[v], [vals[u] for u in sorted(adj[v])])
+                if clause is not None:
+                    expected = (False, v, clause)
+                    break
+    got = check(g, shape(vals))
+    assert (got.ok, got.vertex, got.clause) == expected
