@@ -100,7 +100,7 @@ def _cmd_solve(args) -> int:
     except (OSError, EdgeListParseError) as exc:
         return _error(EXIT_INPUT, str(exc))
     try:
-        which = args.invariants.split(",") if args.invariants else None
+        which = None if args.invariants is None else args.invariants.split(",")
         names = admit(n, which, args.size_limit)
         g = build_graph(n, edges)
         table = compute_invariants(g, names, size_limit=args.size_limit)

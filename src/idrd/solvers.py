@@ -25,7 +25,9 @@ members are labeled by a small exact backtracking over {1},{2},{1,2}.
 No vertex of S ever takes the value 1 in an optimal independent double Roman
 labeling: a 1-vertex would need a neighbor labeled >= 2, contradicting
 independence of the positive set.  `_mis_pass` enumerates the sets once and
-computes forced(S) once per set for every requested number.
+computes forced(S) once per set for every requested number.  Every set is an
+int bitmask over the vertices, built per call from `Graph.neighbor_mask`, and
+the enumeration runs on an explicit stack, not Python's recursion.
 
 One threshold branch and bound
 ------------------------------
@@ -129,56 +131,68 @@ def _bits(mask: int):
 # ---------------------------------------------------------------------------
 
 
-def maximal_independent_sets(g: Graph):
-    """Yield every maximal independent set of g exactly once, deterministically.
+def _neighbor_masks(g: Graph) -> list:
+    return [g.neighbor_mask(v) for v in range(g.n)]
 
-    Pivoting backtracking (Bron–Kerbosch on the complement) over the vertex
-    order sorted by descending degree (ties by ascending index).  Pivot rule:
-    the member of P ∪ X maximizing |P ∩ nonneighbors|, ties to the earliest
-    position in that order; candidates are scanned in ascending position.
-    """
-    n = g.n
-    if n == 0:
-        yield frozenset()
-        return
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    nonadj = [0] * n
-    for i, v in enumerate(order):
-        nb = g.neighbor_mask(v)
-        m = 0
-        for j, u in enumerate(order):
-            if j != i and not ((nb >> u) & 1):
-                m |= 1 << j
-        nonadj[i] = m
 
-    def expand(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            yield frozenset(order[i] for i in _bits(r))
+def _mis_masks(nbr: list):
+    """Yield each maximal independent set of the graph with neighbor masks
+    `nbr` once, as a vertex bitmask: pivoting Bron–Kerbosch on the complement
+    (Tomita, Tanaka & Takahashi, Theor. Comput. Sci. 363 (2006)) on an
+    explicit stack.  P and X are masks over the positions in the vertex order
+    by descending degree, then index; R is in vertex bits.  The pivot is the
+    member of P ∪ X with most nonneighbors in P, ties to the earliest
+    position; candidates go in ascending position."""
+    n = len(nbr)
+    order = sorted(range(n), key=lambda v: (-nbr[v].bit_count(), v))
+    at = {v: 1 << i for i, v in enumerate(order)}
+    full = (1 << n) - 1
+    nonadj = [full ^ at[v] ^ sum(at[u] for u in _bits(nbr[v])) for v in order]
+    vertex = [1 << v for v in order]
+    frames = []  # [r, p, x, candidates not yet branched on]
+    r, p, x = 0, full, 0
+    while True:
+        if p | x:
+            m, best, best_c = p | x, 0, -1
+            while m:
+                b = m & -m
+                c = (p & nonadj[b.bit_length() - 1]).bit_count()
+                if c > best_c:
+                    best_c, best = c, b
+                m ^= b
+            frames.append([r, p, x, p & ~nonadj[best.bit_length() - 1]])
+        else:
+            yield r
+        while frames:
+            frame = frames[-1]
+            r, p, x, cand = frame
+            if cand:
+                b = cand & -cand
+                i = b.bit_length() - 1
+                frame[1], frame[2], frame[3] = p ^ b, x | b, cand ^ b
+                r, p, x = r | vertex[i], p & nonadj[i], x & nonadj[i]
+                break
+            frames.pop()
+        else:
             return
-        best_i, best_c = -1, -1
-        for i in _bits(p | x):
-            c = (p & nonadj[i]).bit_count()
-            if c > best_c:
-                best_c, best_i = c, i
-        cand = p & ~nonadj[best_i]
-        for i in _bits(cand):
-            b = 1 << i
-            yield from expand(r | b, p & nonadj[i], x & nonadj[i])
-            p &= ~b
-            x |= b
-
-    yield from expand(0, (1 << n) - 1, 0)
 
 
-def _forced_positives(g: Graph, s: frozenset) -> set:
-    """Members of s that are the unique s-neighbor of some outside vertex."""
-    forced = set()
-    for v in range(g.n):
-        if v in s:
-            continue
-        inter = [u for u in g.adjacency(v) if u in s]
-        if len(inter) == 1:
-            forced.add(inter[0])
+def maximal_independent_sets(g: Graph):
+    """Yield every maximal independent set of g exactly once, deterministically,
+    as frozensets in the order of `_mis_masks`."""
+    for s in _mis_masks(_neighbor_masks(g)):
+        yield frozenset(_bits(s))
+
+
+def _forced_mask(nbr: list, s: int) -> int:
+    """Members of the maximal independent set s (a vertex bitmask) that are
+    the unique s-neighbor of some outside vertex.  A member has no s-neighbor,
+    so it adds nothing."""
+    forced = 0
+    for nb in nbr:
+        y = nb & s
+        if not y & (y - 1):
+            forced |= y
     return forced
 
 
@@ -191,7 +205,7 @@ def forced_threes(g: Graph, s) -> frozenset:
     s = frozenset(s)
     if not (g.is_independent(s) and g.is_dominating(s)):
         raise ValueError("s is not a maximal independent set")
-    return frozenset(_forced_positives(g, s))
+    return frozenset(_bits(_forced_mask(_neighbor_masks(g), sum(1 << v for v in s))))
 
 
 # ---------------------------------------------------------------------------
@@ -201,83 +215,72 @@ def forced_threes(g: Graph, s) -> frozenset:
 # (weak, strong) labels of the independent numbers with a closed form per set.
 _MIS_WEIGHTS = {"idn": (1, 1), "ir2dn": (1, 2), "idrdn": (2, 3)}
 
-_RAINBOW_CHOICES = (
-    (1, 0, frozenset((1,))),
-    (0, 1, frozenset((2,))),
-    (1, 1, frozenset((1, 2))),
-)
+# (color 1, color 2) of the labels {1}, {2}, {1,2}, in backtracking order.
+_RAINBOW_CHOICES = ((1, 0), (0, 1), (1, 1))
+
+# Label of a vertex by (bit in the low mask) + 2·(bit in the high mask): the
+# low and high masks are S and forced(S), or the color-1 and color-2 members.
+_LABELS = {name: (0, weak, 0, strong) for name, (weak, strong) in _MIS_WEIGHTS.items()}
+_LABELS["i2rdn"] = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)))
 
 
-def _rainbow_completion(g: Graph, s: frozenset, forced: set, limit):
+def _rainbow_completion(nbr: list, s: int, forced: int, limit):
     """Cheapest 2-rainbow labels on the maximal independent set s.
 
     Forced members take {1,2}; the rest are assigned by exact backtracking
-    over {1},{2},{1,2} against the both-colors-visible constraints of the
-    outside vertices.  Returns (weight, {member: label set}), or None when
-    no completion weighs at most `limit`.
+    over {1},{2},{1,2}, members in ascending order, against the
+    both-colors-visible constraints of the outside vertices.  Returns
+    (weight, ones, twos) with the members carrying color 1 and color 2 as
+    bitmasks, or None when no completion weighs at most `limit`.
     """
-    base = len(s) + len(forced)
-    constraints = []
-    seen = set()
-    for v in range(g.n):
-        if v in s:
-            continue
-        pos_nb = tuple(u for u in g.adjacency(v) if u in s)
-        if any(u in forced for u in pos_nb):
-            continue
-        if pos_nb not in seen:
-            seen.add(pos_nb)
-            constraints.append(pos_nb)
-    labels = {u: frozenset((1, 2)) if u in forced else frozenset((1,)) for u in sorted(s)}
+    base = s.bit_count() + forced.bit_count()
+    constraints = {}  # distinct masks in first-appearance order
+    relevant = 0
+    for nb in nbr:
+        y = nb & s
+        # y is 0 at members; an outside vertex with a forced neighbor sees both colors
+        if y and not y & forced:
+            constraints[y] = None
+            relevant |= y
     if not constraints:
-        return base, labels
-    relevant = sorted({u for c in constraints for u in c})
-    ridx = {u: k for k, u in enumerate(relevant)}
-    member_of = [[] for _ in relevant]
-    rem = []
-    for ci, c in enumerate(constraints):
-        rem.append(len(c))
-        for u in c:
-            member_of[ridx[u]].append(ci)
-    c1 = [0] * len(constraints)
-    c2 = [0] * len(constraints)
-    chosen = [None] * len(relevant)
-    found = [None]  # (total, labels tuple)
+        return base, s, forced
+    # (member, indices of the constraints it is in) in ascending member order
+    members = [
+        (u, [ci for ci, c in enumerate(constraints) if c >> u & 1]) for u in _bits(relevant)
+    ]
+    rem = [c.bit_count() for c in constraints]
+    c1, c2 = [0] * len(constraints), [0] * len(constraints)
+    found = None
 
-    def dfs(k: int, extra: int) -> None:
-        if k == len(relevant):
-            total = base + extra
-            if found[0] is None or total < found[0][0]:
-                found[0] = (total, tuple(chosen))
+    def dfs(k: int, extra: int, ones: int, twos: int) -> None:
+        nonlocal found
+        if k == len(members):
+            if found is None or base + extra < found[0]:
+                found = (base + extra, ones, twos)
             return
-        for d1, d2, lab in _RAINBOW_CHOICES:
-            ex2 = extra + (len(lab) - 1)
+        u, cis = members[k]
+        for d1, d2 in _RAINBOW_CHOICES:
+            ex2 = extra + d1 + d2 - 1
             if base + ex2 > limit:
                 continue
-            if found[0] is not None and base + ex2 >= found[0][0]:
+            if found is not None and base + ex2 >= found[0]:
                 continue
             ok = True
-            for ci in member_of[k]:
+            for ci in cis:
                 rem[ci] -= 1
                 c1[ci] += d1
                 c2[ci] += d2
                 if rem[ci] == 0 and (c1[ci] == 0 or c2[ci] == 0):
                     ok = False
             if ok:
-                chosen[k] = lab
-                dfs(k + 1, ex2)
-            for ci in member_of[k]:
+                dfs(k + 1, ex2, ones | (d1 << u), twos | (d2 << u))
+            for ci in cis:
                 rem[ci] += 1
                 c1[ci] -= d1
                 c2[ci] -= d2
 
-    dfs(0, 0)
-    if found[0] is None:
-        return None
-    total, assignment = found[0]
-    for k, u in enumerate(relevant):
-        labels[u] = assignment[k]
-    return total, labels
+    dfs(0, 0, s & ~relevant, forced)
+    return found
 
 
 def _mis_pass(g: Graph, names) -> dict:
@@ -285,36 +288,40 @@ def _mis_pass(g: Graph, names) -> dict:
 
     One scan of the maximal independent sets serves idn, ir2dn, idrdn and
     i2rdn alike.  Ties go to the lexicographically smallest sorted positive
-    set.  The rainbow completion is skipped for a set whose forced weight
-    |S| + |forced(S)| already exceeds the best rainbow weight so far.
+    set, built only on a tie or a gain.  The rainbow completion is skipped
+    when |S| + |forced(S)| already exceeds the best rainbow weight so far.
     """
     weighted = [(name, *_MIS_WEIGHTS[name]) for name in _MIS_WEIGHTS if name in names]
     rainbow = "i2rdn" in names
     need_forced = rainbow or any(weak != strong for _, weak, strong in weighted)
-    # name -> (weight, sorted positive set, {member: label})
+    nbr = _neighbor_masks(g)
+    # name -> (weight, sorted positive set, low mask, high mask)
     best = {
-        name: (float("inf"), (), {})
+        name: (float("inf"), (), 0, 0)
         for name in ("idn", "ir2dn", "i2rdn", "idrdn")
         if name in names
     }
-    for s in maximal_independent_sets(g):
-        forced = _forced_positives(g, s) if need_forced else set()
-        members = tuple(sorted(s))
-        for name, weak, strong in weighted:
-            key = (weak * len(s) + (strong - weak) * len(forced), members)
-            if key < best[name][:2]:
-                best[name] = (*key, {u: strong if u in forced else weak for u in members})
-        if rainbow and len(s) + len(forced) <= best["i2rdn"][0]:
-            found = _rainbow_completion(g, s, forced, best["i2rdn"][0])
-            if found is not None and (found[0], members) < best["i2rdn"][:2]:
-                best["i2rdn"] = (found[0], members, found[1])
-    out = {}
-    for name, (weight, _, labels) in best.items():
-        vals = [frozenset() if name == "i2rdn" else 0] * g.n
-        for u, x in labels.items():
-            vals[u] = x
-        out[name] = (weight, vals)
-    return out
+    for s in _mis_masks(nbr):
+        forced = _forced_mask(nbr, s) if need_forced else 0
+        size, strong_count = s.bit_count(), forced.bit_count()
+        scores = [
+            (name, weak * size + (strong - weak) * strong_count, s, forced)
+            for name, weak, strong in weighted
+        ]
+        if rainbow and size + strong_count <= best["i2rdn"][0]:
+            completion = _rainbow_completion(nbr, s, forced, best["i2rdn"][0])
+            if completion:
+                scores.append(("i2rdn", *completion))
+        members = None
+        for name, weight, low, high in scores:
+            if weight <= best[name][0]:
+                members = members or tuple(_bits(s))
+                if (weight, members) < best[name][:2]:
+                    best[name] = (weight, members, low, high)
+    return {
+        name: (weight, [_LABELS[name][(low >> v & 1) + 2 * (high >> v & 1)] for v in range(g.n)])
+        for name, (weight, _, low, high) in best.items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +381,12 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    close_list = [[] for _ in range(n)]
+    close_list = [()] * n
     for u in range(n):
         cp = pos[u]
         for w in g.adjacency(u):
             cp = max(cp, pos[w])
-        close_list[cp].append(u)
+        close_list[cp] += (u,)
     adj = [g.adjacency(v) for v in range(n)]
     cap = [1 + max(len(adj[u]) for u in (v, *adj[v])) for v in range(n)]
     scale = math.lcm(*set(cap))
@@ -414,9 +421,12 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
                         d = zero_deficit if vals[u] == 0 else open_deficit
                         owed2 -= (d[ru] - d[ru + val]) * unit[u]
                     received[u] = ru + val
-            ok = all(vals[u] or received[u] >= k for u in close_list[i])
-            if ok and w2 + -(-owed2 // scale) < best[0]:
-                dfs(i + 1, w2, owed2)
+            for u in close_list[i]:
+                if not vals[u] and received[u] < k:
+                    break
+            else:
+                if w2 + -(-owed2 // scale) < best[0]:
+                    dfs(i + 1, w2, owed2)
             if val:
                 for u in adj[v]:
                     received[u] -= val
@@ -518,18 +528,20 @@ def packing_number(g: Graph, size_limit: int | None = None) -> tuple[int, frozen
     """
     _guard(g.n, size_limit)
     _require_vertices(g)
-    n = g.n
-    closed = [g.neighbor_mask(v) | (1 << v) for v in range(n)]
-    square_edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if closed[u] & closed[v]
-    ]
-    square = Graph(n, square_edges)
-    best = None
-    for s in maximal_independent_sets(square):
-        key = (-len(s), tuple(sorted(s)))
-        if best is None or key < best:
-            best = key
-    return -best[0], frozenset(best[1])
+    closed = [nb | (1 << v) for v, nb in enumerate(_neighbor_masks(g))]
+    square = []
+    for v, nb in enumerate(closed):
+        within_two = 0
+        for u in _bits(nb):
+            within_two |= closed[u]
+        square.append(within_two ^ (1 << v))
+    best_size, best = -1, ()
+    for s in _mis_masks(square):
+        if s.bit_count() >= best_size:
+            members = tuple(_bits(s))
+            if (-len(members), members) < (-best_size, best):
+                best_size, best = len(members), members
+    return best_size, frozenset(best)
 
 
 def _matching_partners(g: Graph) -> list:

@@ -25,6 +25,14 @@ def star_graph(leaves):
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def petersen_graph():
+    return build_graph(10, [
+        (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+        (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
+        (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
+    ])
+
+
 def double_star(r, s):
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(r)]

@@ -158,6 +158,47 @@ def brute_maximal_independent_sets(n, edges):
     return out
 
 
+def reference_maximal_independent_sets(n, edges):
+    """The maximal independent sets in the order the solver must yield them,
+    by the recursion the solver's explicit-stack loop replaced.
+
+    Pivoting Bron–Kerbosch on the complement (Tomita, Tanaka & Takahashi,
+    Theor. Comput. Sci. 363 (2006)) over the vertices sorted by descending
+    degree, ties by index.  The pivot is the member of P ∪ X with the most
+    nonneighbors in P, ties to the earliest position; the candidates (P minus
+    the pivot's nonneighbors, fixed before the loop) go in ascending position.
+    """
+    if n == 0:
+        return [frozenset()]
+    adj = adjacency(n, edges)
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    nonadj = [
+        sum(1 << j for j, u in enumerate(order) if j != i and u not in adj[v])
+        for i, v in enumerate(order)
+    ]
+    out = []
+
+    def expand(r, p, x):
+        if p == 0 and x == 0:
+            out.append(frozenset(order[i] for i in range(n) if (r >> i) & 1))
+            return
+        best_i, best_c = -1, -1
+        for i in range(n):
+            if ((p | x) >> i) & 1:
+                c = bin(p & nonadj[i]).count("1")
+                if c > best_c:
+                    best_c, best_i = c, i
+        cand = p & ~nonadj[best_i]
+        for i in range(n):
+            if (cand >> i) & 1:
+                expand(r | (1 << i), p & nonadj[i], x & nonadj[i])
+                p &= ~(1 << i)
+                x |= 1 << i
+
+    expand(0, (1 << n) - 1, 0)
+    return out
+
+
 def brute_packing(n, edges):
     adj = adjacency(n, edges)
     closed = [adj[v] | {v} for v in range(n)]

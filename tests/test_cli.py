@@ -117,6 +117,19 @@ def test_solve_input_errors(tmp_path, capsys, monkeypatch):
     assert code == 2 and "unknown invariant" in err
 
 
+def test_solve_rejects_an_empty_invariant_list(capsys, monkeypatch):
+    got = run(["solve", "--input", "-", "--json", "--invariants", ""],
+              capsys, monkeypatch, stdin_text=serialize_edge_list(path_graph(3)))
+    assert got == (2, "", "error: unknown invariant ''\n")
+
+
+def test_solve_enumerates_deep_independent_sets(capsys, monkeypatch):
+    monkeypatch.setenv("IDRD_SIZE_LIMIT", "5000")
+    got = run(["solve", "--input", "-", "--invariants", "idn"],
+              capsys, monkeypatch, stdin_text="1500 0\n")
+    assert got == (0, "idn = 1500\n", "")
+
+
 def test_solve_size_limit(capsys, monkeypatch):
     big = serialize_edge_list(path_graph(30))
     code, _, err = run(

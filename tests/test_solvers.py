@@ -46,6 +46,7 @@ from conftest import (
     empty_graph,
     graphs,
     path_graph,
+    petersen_graph,
     star_graph,
     trees,
 )
@@ -70,6 +71,68 @@ def test_mis_enumeration_is_deterministic():
     assert list(maximal_independent_sets(g)) == list(maximal_independent_sets(g))
     assert list(maximal_independent_sets(empty_graph(0))) == [frozenset()]
     assert list(maximal_independent_sets(empty_graph(3))) == [frozenset({0, 1, 2})]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=0, max_n=10))
+def test_mis_enumeration_follows_the_reference_order(g):
+    # The order, not only the set, is the contract: witnesses tie-break on it.
+    got = list(maximal_independent_sets(g))
+    assert got == oracles.reference_maximal_independent_sets(g.n, g.edges)
+
+
+# MIS-pass witnesses pinned.  random_graph(12, 0.15, 2) is disconnected.
+@pytest.mark.parametrize("g, i, r2, dr, rainbow, packing", [
+    (
+        petersen_graph(),
+        (0, 2, 6),
+        [1, 0, 1, 0, 0, 0, 0, 0, 1, 1],
+        [2, 0, 2, 0, 0, 0, 0, 0, 2, 2],
+        ["12", "", "12", "", "", "", "12", "", "", ""],
+        (0,),
+    ),
+    (
+        random_graph(12, 0.15, 2),
+        (0, 2, 4, 5, 6, 7, 8, 11),
+        [1, 0, 2, 0, 1, 1, 1, 1, 1, 0, 0, 2],
+        [2, 0, 3, 0, 2, 2, 2, 2, 2, 0, 0, 3],
+        ["1", "", "12", "", "1", "1", "1", "1", "1", "", "", "12"],
+        (0, 1, 2, 4, 5, 6, 7, 8),
+    ),
+    (
+        random_graph(16, 0.2, 3),
+        (7, 11, 12, 14),
+        [1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 1, 1, 0],
+        [0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 3, 3, 0, 3, 0],
+        ["1", "", "", "", "", "", "1", "", "", "", "", "12", "12", "2", "2", ""],
+        (0, 2, 8, 9),
+    ),
+    (
+        random_graph(18, 0.5, 7),
+        (1, 13, 15),
+        [1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 1, 0, 0],
+        [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 3, 0, 3, 0, 0, 0, 0, 0],
+        ["1", "", "", "", "1", "", "", "", "", "", "", "", "12", "", "", "2", "", ""],
+        (4, 10),
+    ),
+])
+def test_mis_witnesses_are_pinned(g, i, r2, dr, rainbow, packing):
+    names = ["idn", "ir2dn", "idrdn", "i2rdn", "packing"]
+    witnesses = compute_invariants(g, names).witnesses
+    assert witnesses["idn"] == i
+    assert witnesses["ir2dn"] == R2Labeling(r2)
+    assert witnesses["idrdn"] == DRLabeling(dr)
+    assert witnesses["i2rdn"] == RainbowLabeling(rainbow)
+    assert witnesses["packing"] == packing
+
+
+def test_mis_pass_handles_deep_enumerations():
+    # Each set of an edgeless graph's enumeration is one n-deep branch.
+    names = ["idn", "ir2dn", "idrdn", "i2rdn", "packing"]
+    start = time.perf_counter()
+    entries = compute_invariants(empty_graph(1200), names, size_limit=5000).entries
+    assert time.perf_counter() - start < 5.0
+    assert [entries[name] for name in names] == [1200, 1200, 2400, 1200, 1200]
 
 
 def test_forced_threes_on_a_double_star():
@@ -262,11 +325,7 @@ def test_branch_and_bound_witnesses_are_valid():
 # random_graph(12, 0.15, 2) has components of 5, 2 and five times 1 vertices.
 @pytest.mark.parametrize("g, gamma, r2, dr", [
     (
-        build_graph(10, [
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-        ]),
+        petersen_graph(),
         (0, 2, 6),
         [1, 0, 1, 0, 0, 0, 0, 0, 1, 1],
         [2, 0, 2, 0, 0, 0, 0, 0, 2, 2],
@@ -340,11 +399,7 @@ def test_plain_numbers_at_order_24_are_fast():
 
 
 def test_petersen_graph_matching():
-    petersen = build_graph(10, [
-        (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-        (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-        (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-    ])
+    petersen = petersen_graph()
     assert max_matching(petersen) == 5
     assert min_edge_cover(petersen) == 5
 
@@ -429,11 +484,7 @@ def test_matching_is_fast_on_large_trees():
 # Petersen graph is matched by the greedy start alone).
 @pytest.mark.parametrize("g, matching, cover", [
     (
-        build_graph(10, [
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
-            (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
-            (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
-        ]),
+        petersen_graph(),
         ((0, 1), (2, 3), (4, 9), (5, 7), (6, 8)),
         ((0, 1), (2, 3), (4, 9), (5, 7), (6, 8)),
     ),
