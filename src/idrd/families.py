@@ -202,24 +202,27 @@ class TreeClass:
     parameters: tuple | None
 
 
-def _arm(t: Graph, hub: int, x: int) -> int:
-    """Order of the component of t - hub that holds the hub's neighbor x, when
-    it is 1 or 2 (x a leaf, or x of degree 2 with a leaf beyond it); else 0."""
-    if t.degree(x) == 1:
+def _arm(adj: tuple, hub: int, x: int) -> int:
+    """Order of the component of t - hub that holds the hub's neighbor x, t
+    given by its neighbor tuples, when it is 1 or 2 (x a leaf, or x of
+    degree 2 with a leaf beyond it); else 0."""
+    nb = adj[x]
+    if len(nb) == 1:
         return 1
-    if t.degree(x) == 2:
-        far = next(y for y in t.adjacency(x) if y != hub)
-        if t.degree(far) == 1:
-            return 2
+    if len(nb) == 2 and len(adj[nb[1] if nb[0] == hub else nb[0]]) == 1:
+        return 2
     return 0
 
 
 def _recognize_center_tree(t: Graph) -> tuple | None:
     """Parameters (k, j) when some vertex c leaves only 1- or 2-vertex
-    components behind; candidates are scanned by descending degree so the
-    recovered parameters describe the most star-like center."""
-    for c in sorted(range(t.n), key=lambda v: (-t.degree(v), v)):
-        arms = [_arm(t, c, x) for x in t.adjacency(c)]
+    components behind; candidates are scanned by descending degree (a stable
+    sort, so ties stay ascending) so the parameters describe the most
+    star-like center."""
+    adj = t.adj
+    degree = [len(nb) for nb in adj]
+    for c in sorted(range(t.n), key=degree.__getitem__, reverse=True):
+        arms = [_arm(adj, c, x) for x in adj[c]]
         if all(arms):
             return (t.n, arms.count(2))
     return None
@@ -229,17 +232,17 @@ def _recognize_subdivided_double_star(t: Graph) -> tuple | None:
     """Parameters (r, s), r <= s, when t is a double star with every edge
     subdivided: a degree-2 middle vertex between two centers whose other
     neighbors are all degree-2 vertices followed by a leaf."""
-    n = t.n
+    n, adj = t.n, t.adj
     if n < 7 or n % 2 == 0:
         return None
     for mid in range(n):
-        if t.degree(mid) != 2:
+        if len(adj[mid]) != 2:
             continue
-        c1, c2 = t.adjacency(mid)
-        r, s = t.degree(c1) - 1, t.degree(c2) - 1
+        c1, c2 = adj[mid]
+        r, s = len(adj[c1]) - 1, len(adj[c2]) - 1
         if r < 1 or s < 1 or n != 2 * (r + s) + 3:
             continue
-        if all(_arm(t, hub, x) == 2 for hub in (c1, c2) for x in t.adjacency(hub) if x != mid):
+        if all(_arm(adj, hub, x) == 2 for hub in (c1, c2) for x in adj[hub] if x != mid):
             return (min(r, s), max(r, s))
     return None
 

@@ -7,8 +7,6 @@ canonical form (edges sorted, u < v, trailing newline) so that
 parse(serialize(g)) == g and byte-identical output is reproducible.
 """
 
-from collections import deque
-
 from .rng import SplitMix64
 
 
@@ -21,9 +19,11 @@ class Graph:
 
     Construct through :func:`build_graph` (or the parser / generators); the
     constructor validates endpoints, rejects self-loops, and deduplicates.
+    ``adj[v]`` is the sorted tuple of v's neighbors, for reading only;
+    :meth:`adjacency` is the same with a range check on v.
     """
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "adj", "_match")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -35,18 +35,21 @@ class Graph:
             except (TypeError, ValueError):
                 raise ValueError(f"edge {e!r} is not a pair")
             u, v = int(u), int(v)
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            lo, hi = (u, v) if u < v else (v, u)
+            if not 0 <= lo < hi < n:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            canon.add((u, v) if u < v else (v, u))
+            canon.add((lo, hi))
         self.n = n
         self.edges = tuple(sorted(canon))
+        # sorted edges give each vertex its smaller, then its larger neighbors in order
         adj = [[] for _ in range(n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(nb)) for nb in adj)
+        self.adj = tuple(map(tuple, adj))
+        self._match = None  # maximum-matching partners, kept by the solvers
 
     # -- basic queries ----------------------------------------------------
 
@@ -57,29 +60,29 @@ class Graph:
     def adjacency(self, v: int) -> tuple:
         """Neighbors of v as a sorted tuple (deterministic iteration order)."""
         self._check_vertex(v)
-        return self._adj[v]
+        return self.adj[v]
 
     def neighbor_mask(self, v: int) -> int:
         """Neighbors of v as a bitmask, built on each call (O(n) bits)."""
         self._check_vertex(v)
         mask = 0
-        for u in self._adj[v]:
+        for u in self.adj[v]:
             mask |= 1 << u
         return mask
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
-        return len(self._adj[v])
+        return len(self.adj[v])
 
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("degree of an empty graph is undefined")
-        return max(len(nb) for nb in self._adj)
+        return max(len(nb) for nb in self.adj)
 
     def min_degree(self) -> int:
         if self.n == 0:
             raise ValueError("degree of an empty graph is undefined")
-        return min(len(nb) for nb in self._adj)
+        return min(len(nb) for nb in self.adj)
 
     def has_isolated_vertex(self) -> bool:
         return self.n > 0 and self.min_degree() == 0
@@ -99,12 +102,12 @@ class Graph:
     def is_independent(self, s) -> bool:
         """True iff no edge joins two members of s."""
         s = self._check_subset(s)
-        return all(s.isdisjoint(self._adj[v]) for v in s)
+        return all(s.isdisjoint(self.adj[v]) for v in s)
 
     def is_dominating(self, s) -> bool:
         """True iff every vertex outside s has a neighbor in s."""
         s = self._check_subset(s)
-        return all(v in s or not s.isdisjoint(nb) for v, nb in enumerate(self._adj))
+        return all(v in s or not s.isdisjoint(nb) for v, nb in enumerate(self.adj))
 
     # -- global predicates ------------------------------------------------
 
@@ -113,16 +116,13 @@ class Graph:
             raise ValueError("connectivity of an empty graph is undefined")
         seen = [False] * self.n
         seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for u in self._adj[v]:
+        reached = [0]
+        for v in reached:
+            for u in self.adj[v]:
                 if not seen[u]:
                     seen[u] = True
-                    count += 1
-                    queue.append(u)
-        return count == self.n
+                    reached.append(u)
+        return len(reached) == self.n
 
     def is_tree(self) -> bool:
         if self.n == 0:
@@ -156,12 +156,8 @@ def parse_edge_list(text: str) -> Graph:
 def parse_edges(text: str) -> tuple[int, list]:
     """Validate edge-list text into (n, edges) without building the graph,
     so callers can check n before paying for it."""
-    data_lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        data_lines.append(line)
+    lines = map(str.strip, text.splitlines())
+    data_lines = [line for line in lines if line and not line.startswith("#")]
     if not data_lines:
         raise EdgeListParseError("missing header line 'n m'")
     header = data_lines[0].split()
@@ -230,8 +226,6 @@ def random_tree(n: int, seed: int) -> Graph:
         raise ValueError("a tree needs at least one vertex")
     if n == 1:
         return Graph(1, [])
-    if n == 2:
-        return Graph(2, [(0, 1)])
     rng = SplitMix64(seed)
     prufer = [rng.below(n) for _ in range(n - 2)]
     return prufer_decode(n, prufer)

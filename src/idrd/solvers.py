@@ -339,21 +339,20 @@ _THRESHOLD = {
 
 def _bfs_order(g: Graph) -> list:
     """BFS order starting from the max-degree vertex of each component."""
-    n = g.n
-    seen = [False] * n
+    adj = g.adj
+    seen = [False] * g.n
     order = []
-    for start in sorted(range(n), key=lambda v: (-g.degree(v), v)):
+    for start in sorted(range(g.n), key=lambda v: (-len(adj[v]), v)):
         if seen[start]:
             continue
         seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in g.adjacency(v):
+        component = [start]
+        for v in component:
+            for u in adj[v]:
                 if not seen[u]:
                     seen[u] = True
-                    queue.append(u)
+                    component.append(u)
+        order += component
     return order
 
 
@@ -381,13 +380,13 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
+    adj = g.adj
     close_list = [()] * n
     for u in range(n):
         cp = pos[u]
-        for w in g.adjacency(u):
+        for w in adj[u]:
             cp = max(cp, pos[w])
         close_list[cp] += (u,)
-    adj = [g.adjacency(v) for v in range(n)]
     cap = [1 + max(len(adj[u]) for u in (v, *adj[v])) for v in range(n)]
     scale = math.lcm(*set(cap))
     unit = [scale // c for c in cap]
@@ -544,21 +543,25 @@ def packing_number(g: Graph, size_limit: int | None = None) -> tuple[int, frozen
     return best_size, frozenset(best)
 
 
-def _matching_partners(g: Graph) -> list:
+def _matching_partners(g: Graph) -> tuple:
     """match[v] = partner of v in a maximum matching, -1 if unmatched.
 
-    Augmenting-path search with blossom contraction (base array), O(V^3).
-    Vertices without neighbors are never searched from: nothing can match
-    them.  The search arrays are allocated once; each search records the
-    vertices whose entries it sets and resets only those, so a search that
-    contracts no blossom costs what it explores, not O(n).  A contraction
-    likewise visits only the blossom: `members` holds the vertices of each
-    base a search has contracted into (any other base is alone), and
-    `stamp[b]` is +c while base b is on the lca path of contraction c and -c
-    once b is in its blossom, so neither mark needs a reset.
+    Computed once per graph and kept on it, so the matching number, the edge
+    cover and the invariant table share one search.  Augmenting-path search
+    with blossom contraction (base array), O(V^3).  Vertices without
+    neighbors are never searched from: nothing can match them.  The search
+    arrays are allocated once; each search records the vertices whose
+    entries it sets and resets only those, so a search that contracts no
+    blossom costs what it explores, not O(n).  A contraction likewise visits
+    only the blossom: `members` holds the vertices of each base a search has
+    contracted into (any other base is alone), and `stamp[b]` is +c while
+    base b is on the lca path of contraction c and -c once b is in its
+    blossom, so neither mark needs a reset.
     """
+    if g._match is not None:
+        return g._match
     n = g.n
-    adj = [g.adjacency(v) for v in range(n)]
+    adj = g.adj
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
@@ -652,14 +655,14 @@ def _matching_partners(g: Graph) -> list:
                 base[t] = t
             touched.clear()
             members.clear()
-    return match
+    g._match = tuple(match)
+    return g._match
 
 
 def max_matching(g: Graph) -> int:
     """Maximum matching size α'(g) (exact on general graphs)."""
     _require_vertices(g)
-    match = _matching_partners(g)
-    return sum(1 for x in match if x != -1) // 2
+    return (g.n - _matching_partners(g).count(-1)) // 2
 
 
 def min_edge_cover(g: Graph) -> int:
@@ -670,16 +673,16 @@ def min_edge_cover(g: Graph) -> int:
     return g.n - max_matching(g)
 
 
-def _matched_edges(match: list) -> tuple:
-    return tuple((v, u) for v, u in enumerate(match) if u > v)
+def _matched_edges(g: Graph) -> tuple:
+    return tuple((v, u) for v, u in enumerate(_matching_partners(g)) if u > v)
 
 
-def _edge_cover_edges(g: Graph, match: list) -> tuple:
+def _edge_cover_edges(g: Graph) -> tuple:
     """The matching plus one edge at each unmatched vertex."""
-    edges = list(_matched_edges(match))
-    for v in range(g.n):
-        if match[v] == -1:
-            edges.append(tuple(sorted((v, g.adjacency(v)[0]))))
+    edges = list(_matched_edges(g))
+    for v, u in enumerate(_matching_partners(g)):
+        if u == -1:
+            edges.append(tuple(sorted((v, g.adj[v][0]))))
     return tuple(sorted(edges))
 
 
@@ -689,19 +692,25 @@ def _edge_cover_edges(g: Graph, match: list) -> tuple:
 
 
 def _rooted_order(t: Graph) -> tuple[list, list]:
-    parent = [-1] * t.n
+    """(parent, BFS order) of t rooted at 0, the root's parent being n, from
+    one search that is also the tree test: with n - 1 edges, t is a tree iff
+    the search reaches every vertex.  Raises ValueError otherwise."""
+    n = t.n
+    if n == 0:
+        raise ValueError("tree test of an empty graph is undefined")
+    if t.m != n - 1:
+        raise ValueError("input is not a tree")
+    adj = t.adj
+    parent = [-1] * n
+    parent[0] = n
     order = [0]
-    seen = [False] * t.n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in t.adjacency(v):
-            if not seen[u]:
-                seen[u] = True
+    for v in order:
+        for u in adj[v]:
+            if parent[u] < 0:
                 parent[u] = v
                 order.append(u)
-                queue.append(u)
+    if len(order) != n:
+        raise ValueError("input is not a tree")
     return parent, order
 
 
@@ -715,38 +724,36 @@ def _tree_mis_number(t: Graph, weak: int, strong: int) -> int:
     or strong (its children are 0-vertices that need no strong parent, resp.
     any 0-vertex), and, with the vertex 0, three running minima over its
     children -- no positive child (needs a strong parent), exactly one weak
-    child (needs a positive parent), already defended.
+    child (needs a positive parent), already defended.  Impossible states
+    start at 3n + 3, above the weight of any labeling, and stay above it.
     """
-    if not t.is_tree():
-        raise ValueError("input is not a tree")
-    n = t.n
-    INF = float("inf")
     parent, order = _rooted_order(t)
-    pos_weak = [0] * n
-    pos_strong = [0] * n
-    none = [0] * n
-    one_weak = [0] * n
-    defended = [0] * n
+    adj = t.adj
+    inf = 3 * t.n + 3
+    state = [None] * t.n  # weak, strong, none, one weak, defended; freed once read
     for v in reversed(order):
-        below_weak = below_strong = 0
-        n0, n1, d = 0, INF, INF
-        for c in t.adjacency(v):
-            if c == parent[v]:
+        up = parent[v]
+        below_weak = below_strong = n0 = 0
+        n1 = d = inf
+        for c in adj[v]:
+            if c == up:
                 continue
-            zero = min(defended[c], one_weak[c])
+            w, s, none, zero, dc = state[c]
+            state[c] = None
+            if dc < zero:
+                zero = dc
             below_weak += zero
-            below_strong += min(zero, none[c])
-            w, s = pos_weak[c], pos_strong[c]
-            n0, n1, d = (
-                n0 + defended[c],
-                min(n1 + defended[c], n0 + w),
-                min(d + min(defended[c], w, s), n1 + min(w, s), n0 + s),
-            )
-        pos_weak[v] = weak + below_weak
-        pos_strong[v] = strong + below_strong
-        none[v], one_weak[v], defended[v] = n0, n1, d
-    root = order[0]
-    return int(min(pos_weak[root], pos_strong[root], defended[root]))
+            below_strong += zero if zero < none else none
+            # d = min(d + min(dc, w, s), n1 + min(w, s), n0 + s); n1 = min(n1 + dc, n0 + w)
+            ws = s if s < w else w
+            a, b, e = d + (dc if dc < ws else ws), n1 + ws, n0 + s
+            d = (a if a < e else e) if a < b else (b if b < e else e)
+            a, b = n1 + dc, n0 + w
+            n1 = a if a < b else b
+            n0 += dc
+        state[v] = (weak + below_weak, strong + below_strong, n0, n1, d)
+    w, s, _, _, d = state[0]
+    return (w if w < d else d) if w < s else (s if s < d else d)
 
 
 def tree_idn(t: Graph) -> int:
@@ -796,14 +803,13 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
     """Compute the requested invariants (all known ones by default).
 
     The exact numbers share one MIS pass, and the matching and edge cover
-    share one matching.  min_edge_cover is skipped with a not-applicable
-    marker when the graph has an isolated vertex.  The names are checked by
-    `admit` first.
+    share the graph's one matching.  min_edge_cover is skipped with a
+    not-applicable marker when the graph has an isolated vertex.  The names
+    are checked by `admit` first.
     """
     names = admit(g.n, which, size_limit)
     table = InvariantTable()
     exact = None
-    match = None
     for name in INVARIANT_NAMES:
         if name not in names:
             continue
@@ -832,13 +838,8 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
             table.not_applicable[name] = "graph has an isolated vertex"
         else:
             _require_vertices(g)
-            if match is None:
-                match = _matching_partners(g)
-            matched = _matched_edges(match)
-            if name == "max_matching":
-                table.entries[name] = len(matched)
-                table.witnesses[name] = matched
-            else:
-                table.entries[name] = g.n - len(matched)
-                table.witnesses[name] = _edge_cover_edges(g, match)
+            # the cover adds one edge per unmatched vertex: n - |matching| edges
+            edges = _matched_edges(g) if name == "max_matching" else _edge_cover_edges(g)
+            table.entries[name] = len(edges)
+            table.witnesses[name] = edges
     return table

@@ -34,6 +34,28 @@ def test_construction_rejects_bad_input():
         build_graph(3, [(0, 3)])
     with pytest.raises(ValueError, match="not a pair"):
         build_graph(3, [(0, 1, 2)])
+    # the message keeps the edge as given, and a self-loop is named first
+    with pytest.raises(ValueError, match=r"^edge \(3, 0\) out of range for n=3$"):
+        build_graph(3, [(3, 0)])
+    with pytest.raises(ValueError, match=r"^edge \(2, -1\) out of range for n=3$"):
+        build_graph(3, [(0, 1), (2, -1)])
+    with pytest.raises(ValueError, match=r"^self-loop at vertex 5$"):
+        build_graph(3, [(5, 5)])
+
+
+@given(graphs(min_n=0, max_n=9), st.randoms(use_true_random=False))
+def test_neighbor_tuples_survive_shuffled_reversed_and_repeated_edges(g, rng):
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    edges += [(v, u) for u, v in rng.sample(g.edges, len(g.edges) // 2)]
+    rng.shuffle(edges)
+    h = build_graph(g.n, edges)
+    neighbors = [set() for _ in range(g.n)]
+    for u, v in edges:
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    assert h.adj == tuple(tuple(sorted(nb)) for nb in neighbors)
+    assert h.edges == tuple(sorted({(min(e), max(e)) for e in edges}))
+    assert h == g and all(u < v for u, v in h.edges)
 
 
 def test_neighbors_degrees_and_masks():

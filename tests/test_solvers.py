@@ -37,7 +37,7 @@ from idrd import (
     tree_idrdn,
     tree_ir2dn,
 )
-from idrd.solvers import _THRESHOLD, _threshold_search
+from idrd.solvers import _THRESHOLD, _matching_partners, _threshold_search
 
 from conftest import (
     complete_graph,
@@ -530,6 +530,22 @@ def test_matching_witnesses_are_pinned(g, matching, cover):
         assert table.witnesses["min_edge_cover"] == cover
 
 
+def test_matching_is_searched_once_per_graph():
+    for g in (
+        build_graph(7, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 6)]),
+        random_graph(24, 0.1, 4),
+    ):
+        before = hash(g)
+        size = max_matching(g)
+        assert _matching_partners(g) is _matching_partners(g)
+        fresh = build_graph(g.n, g.edges)
+        assert g == fresh and hash(g) == before == hash(fresh)
+        assert (size, min_edge_cover(g)) == (max_matching(fresh), min_edge_cover(fresh))
+        which = ["max_matching", "min_edge_cover"]
+        table, expected = compute_invariants(g, which), compute_invariants(fresh, which)
+        assert (table.entries, table.witnesses) == (expected.entries, expected.witnesses)
+
+
 # ---------------------------------------------------------------------------
 # tree dynamic programs
 # ---------------------------------------------------------------------------
@@ -570,6 +586,42 @@ def test_tree_dp_handles_large_instances():
     assert tree_ir2dn(path_graph(121)) == 61
     assert tree_idrdn(star_graph(99)) == 3
     assert tree_ir2dn(star_graph(99)) == 2
+
+
+def test_tree_dp_closed_forms_at_scale():
+    for n in (49_998, 50_000):
+        path = path_graph(n)
+        assert tree_idrdn(path) == (n if n % 3 == 0 else n + 1)
+        assert tree_idn(path) == -(-n // 3)
+    star = star_graph(50_000)
+    assert tree_idrdn(star) == 3
+    assert tree_ir2dn(star) == 2
+
+
+def test_tree_dp_on_a_caterpillar_matches_the_mis_pass():
+    # spine 0..5 with 0, 1, 2, 0, 3, 1 leaves: hubs of one leaf, of several, and bare
+    edges = [(i, i + 1) for i in range(5)]
+    leaf = 6
+    for hub, count in enumerate((0, 1, 2, 0, 3, 1)):
+        edges += [(hub, leaf + j) for j in range(count)]
+        leaf += count
+    t = build_graph(leaf, edges)
+    assert t.is_tree()
+    for tree_dp, exact in ((tree_idn, idn), (tree_ir2dn, ir2dn), (tree_idrdn, idrdn)):
+        assert tree_dp(t) == exact(t)[0]
+
+
+def test_tree_dp_rejects_non_trees_with_n_minus_one_edges():
+    for k in (3, 4, 7):
+        # a k-cycle plus an isolated vertex
+        g = build_graph(k + 1, [(i, (i + 1) % k) for i in range(k)])
+        assert g.m == g.n - 1
+        for tree_dp in (tree_idn, tree_ir2dn, tree_idrdn):
+            with pytest.raises(ValueError, match="^input is not a tree$"):
+                tree_dp(g)
+    for tree_dp in (tree_idn, tree_ir2dn, tree_idrdn):
+        with pytest.raises(ValueError, match="^tree test of an empty graph is undefined$"):
+            tree_dp(empty_graph(0))
 
 
 # ---------------------------------------------------------------------------
