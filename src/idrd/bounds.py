@@ -2,11 +2,12 @@
 deterministic fuzzer that samples random graphs and checks every record.
 
 Each record is named (B1-lower .. B12) and carries its inequality as an
-anchor string written in invariant names.  Records inapplicable to the
-input (disconnected for the connected-only ones, isolated vertices for the
-matching-based ones, non-trees for the tree-only ones) are emitted with a
-skip marker instead of being dropped, so reports always have one row per
-known bound.  `tight` is reported only for "<=" rows, as lhs == rhs.
+anchor string written in invariant names; the anchor is also the formula
+`check_bounds` evaluates.  Records inapplicable to the input (disconnected
+for the connected-only ones, isolated vertices for the matching-based ones,
+non-trees for the tree-only ones) are emitted with a skip marker instead of
+being dropped, so reports always have one row per known bound.  `tight` is
+reported only for "<=" rows, as lhs == rhs.
 """
 
 import operator
@@ -37,18 +38,19 @@ _RECORDS = (
 
 BOUND_NAMES = tuple(record[0] for record in _RECORDS)
 
-# The invariants the records are written in.
-_BOUND_INVARIANTS = (
-    "order",
-    "max_degree",
-    "min_degree",
-    "idn",
-    "ir2dn",
-    "i2rdn",
-    "idrdn",
-    "packing",
-    "max_matching",
-    "min_edge_cover",
+# name -> (lhs, rhs) code of its anchor: the anchor is the only statement of
+# a bound, split on its relation (B12's "==" has no single "=" between spaces).
+_SIDES = {
+    name: tuple(compile(side, anchor, "eval") for side in anchor.split(f" {relation} "))
+    for name, anchor, _, relation in _RECORDS
+}
+
+# Globals of an anchor's evaluation: its names resolve in the invariant table.
+_NO_BUILTINS = {"__builtins__": {}}
+
+# The invariants the anchors are written in.
+_BOUND_INVARIANTS = tuple(
+    dict.fromkeys(name for sides in _SIDES.values() for code in sides for name in code.co_names)
 )
 
 GRAPH_CLASSES = ("general", "connected", "tree")
@@ -99,42 +101,18 @@ def check_bounds(g: Graph, size_limit: int | None = None) -> list:
     if g.n == 0:
         raise ValueError("bound checks need at least one vertex")
     table = compute_invariants(g, _BOUND_INVARIANTS, size_limit=size_limit)
-    e = table.entries
-    n, delta, big_delta = e["order"], e["min_degree"], e["max_degree"]
-    i_val, ir2, i2r, idr = e["idn"], e["ir2dn"], e["i2rdn"], e["idrdn"]
-    rho, alpha_p = e["packing"], e["max_matching"]
-    isolated = "min_edge_cover" in table.not_applicable
-    # Only read by the "no isolated vertices" records, which are skipped then.
-    beta_p = e.get("min_edge_cover", 0)
     tree_reason = None
     if not g.is_tree():
         tree_reason = "not a tree"
-    elif n < 2:
+    elif g.n < 2:
         tree_reason = "single-vertex tree"
     skip_reasons = {
         "any": None,
         "connected": None if g.is_connected() else "graph is disconnected",
-        "no isolated vertices": "graph has an isolated vertex" if isolated else None,
-        "max degree >= 1": None if big_delta >= 1 else "graph has no edges",
+        "no isolated vertices": table.not_applicable.get("min_edge_cover"),
+        "max degree >= 1": None if g.m else "graph has no edges",
         "tree of order >= 2": tree_reason,
-        "order >= 2": None if n >= 2 else "single-vertex graph",
-    }
-    sides = {
-        "B1-lower": (3 * ir2, 2 * idr),
-        "B1-upper": (idr, 2 * ir2),
-        "B2": (ir2, idr),
-        "B3": (idr, 2 * i2r),
-        "B4": (ir2 + i_val, idr),
-        "B5": (idr, ir2 + beta_p),
-        "B6-lower": (2 * i_val, idr),
-        "B6-upper": (idr, 3 * i_val),
-        "B7": (idr + (2 * delta - 1) * rho, 2 * n),
-        "B8": (2 * n + (big_delta - 2) * i_val, big_delta * idr),
-        "B9": (i_val + 1, ir2),
-        "B10-lower": (2 * i_val + 1, idr),
-        "B10-upper": (idr, 3 * i_val),
-        "B11": (alpha_p + beta_p, n),
-        "B12": (int(idr == 3), int(big_delta == n - 1)),
+        "order >= 2": None if g.n >= 2 else "single-vertex graph",
     }
     out = []
     for record in _RECORDS:
@@ -143,7 +121,8 @@ def check_bounds(g: Graph, size_limit: int | None = None) -> list:
         if reason is not None:
             out.append(BoundCheck(*record, None, None, True, False, True, reason))
             continue
-        lhs, rhs = sides[name]
+        # the anchors are module constants; B12's sides are comparisons
+        lhs, rhs = [int(eval(code, _NO_BUILTINS, table.entries)) for code in _SIDES[name]]
         tight = relation == "<=" and lhs == rhs
         out.append(BoundCheck(*record, lhs, rhs, _HOLDS[relation](lhs, rhs), tight))
     return out
@@ -188,8 +167,9 @@ def fuzz(
     Deterministic for a fixed (class, max_n, trials, p_range, seed): vertex
     counts are uniform on [1, max_n], edge probabilities uniform on p_range,
     and each instance is built from a seed derived from the master stream.
-    The connected class redraws (up to a large cap) until a connected
-    sample appears; the tree class ignores p_range.
+    The connected class redraws until a connected sample appears, and
+    raises ValueError after a large cap of draws; the tree class ignores
+    p_range.
     """
     if graph_class not in GRAPH_CLASSES:
         raise ValueError(f"unknown graph class {graph_class!r}")
@@ -208,19 +188,14 @@ def fuzz(
         n = master.below(max_n) + 1
         if graph_class == "tree":
             g = random_tree(n, master.next_u64())
-        elif graph_class == "general":
-            p = p_lo + master.unit() * (p_hi - p_lo)
-            g = random_graph(n, p, master.next_u64())
         else:
             p = p_lo + master.unit() * (p_hi - p_lo)
-            g = None
             for _attempt in range(_CONNECT_ATTEMPTS):
-                cand = random_graph(n, p, master.next_u64())
-                if cand.is_connected():
-                    g = cand
+                g = random_graph(n, p, master.next_u64())
+                if graph_class == "general" or g.is_connected():
                     break
-            if g is None:
-                raise RuntimeError(
+            else:
+                raise ValueError(
                     f"no connected sample on {n} vertices at p={p:.3f} "
                     f"after {_CONNECT_ATTEMPTS} attempts"
                 )

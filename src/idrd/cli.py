@@ -9,7 +9,8 @@ or of the canonical parameter text (family/realize/fuzz).  Table output is
 human-oriented and may change.
 
 Exit codes: 0 success; 1 fuzz found violations; 2 input error (unparsable
-edge list or spec text, unknown invariant name, bad flags, non-integer
+or undecodable edge list, unparsable spec text, unknown invariant name, bad
+flags, a fuzz p range that cannot produce a connected sample, non-integer
 IDRD_SIZE_LIMIT); 3 exact-solver size limit exceeded (IDRD_SIZE_LIMIT
 overrides the default of 24; `family` checks the spec's order, and `solve`
 and `bounds` the header's order, before they build the graph); 4 domain
@@ -26,7 +27,7 @@ import sys
 
 from .bounds import GRAPH_CLASSES, check_bounds, fuzz
 from .families import classify_tree, formula_idrdn, generate, parse_family_spec, realize
-from .graph import EdgeListParseError, build_graph, parse_edges, serialize_edge_list
+from .graph import build_graph, parse_edges, serialize_edge_list
 from .labelings import DRLabeling, RainbowLabeling
 from .solvers import (
     SizeLimitError,
@@ -97,16 +98,13 @@ def _witness_lines(witness):
 def _cmd_solve(args) -> int:
     try:
         n, edges = _read_edges(args.input)
-    except (OSError, EdgeListParseError) as exc:
-        return _error(EXIT_INPUT, str(exc))
-    try:
         which = None if args.invariants is None else args.invariants.split(",")
         names = admit(n, which, args.size_limit)
         g = build_graph(n, edges)
         table = compute_invariants(g, names, size_limit=args.size_limit)
     except SizeLimitError as exc:
         return _error(EXIT_SIZE, str(exc))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _error(EXIT_INPUT, str(exc))
     digest = _digest(serialize_edge_list(g))
     payload = {
@@ -162,7 +160,7 @@ def _cmd_family(args) -> int:
 def _cmd_classify(args) -> int:
     try:
         n, edges = _read_edges(args.input)
-    except (OSError, EdgeListParseError) as exc:
+    except (OSError, ValueError) as exc:  # undecodable text is a ValueError too
         return _error(EXIT_INPUT, str(exc))
     # Duplicate edge lines only lower the count, so fewer than n - 1 lines
     # rule out a tree before the graph is built.
@@ -232,15 +230,12 @@ def _cmd_realize(args) -> int:
 def _cmd_bounds(args) -> int:
     try:
         n, edges = _read_edges(args.input)
-    except (OSError, EdgeListParseError) as exc:
-        return _error(EXIT_INPUT, str(exc))
-    try:
         admit(n, None, args.size_limit)  # check_bounds reads exponential invariants
         g = build_graph(n, edges)
         records = check_bounds(g, size_limit=args.size_limit)
     except SizeLimitError as exc:
         return _error(EXIT_SIZE, str(exc))
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         return _error(EXIT_INPUT, str(exc))
     digest = _digest(serialize_edge_list(g))
     if args.json:

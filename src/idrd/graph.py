@@ -114,15 +114,7 @@ class Graph:
     def is_connected(self) -> bool:
         if self.n == 0:
             raise ValueError("connectivity of an empty graph is undefined")
-        seen = [False] * self.n
-        seen[0] = True
-        reached = [0]
-        for v in reached:
-            for u in self.adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    reached.append(u)
-        return len(reached) == self.n
+        return len(bfs(self)[1]) == self.n
 
     def is_tree(self) -> bool:
         if self.n == 0:
@@ -141,6 +133,27 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def bfs(g: Graph, starts=(0,)) -> tuple[list, list]:
+    """(parent, order) of a breadth-first search from each start not yet
+    reached, in turn, over the sorted neighbor tuples.  A start's parent is
+    n; a vertex no start reaches keeps parent -1 and is not in the order."""
+    n, adj = g.n, g.adj
+    parent = [-1] * n
+    order = []
+    for start in starts:
+        if parent[start] >= 0:
+            continue
+        parent[start] = n
+        component = [start]
+        for v in component:
+            for u in adj[v]:
+                if parent[u] < 0:
+                    parent[u] = v
+                    component.append(u)
+        order += component
+    return parent, order
 
 
 def build_graph(n: int, edges) -> Graph:

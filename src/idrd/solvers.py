@@ -65,7 +65,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field
 
-from .graph import Graph
+from .graph import Graph, bfs
 from .labelings import DRLabeling, R2Labeling, RainbowLabeling
 
 DEFAULT_SIZE_LIMIT = 24
@@ -227,11 +227,11 @@ _LABELS["i2rdn"] = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1,
 def _rainbow_completion(nbr: list, s: int, forced: int, limit):
     """Cheapest 2-rainbow labels on the maximal independent set s.
 
-    Forced members take {1,2}; the rest are assigned by exact backtracking
-    over {1},{2},{1,2}, members in ascending order, against the
-    both-colors-visible constraints of the outside vertices.  Returns
-    (weight, ones, twos) with the members carrying color 1 and color 2 as
-    bitmasks, or None when no completion weighs at most `limit`.
+    Forced members take {1,2}; the rest are assigned by exact backtracking,
+    on an explicit stack, over {1},{2},{1,2}, members in ascending order,
+    against the both-colors-visible constraints of the outside vertices.
+    Returns (weight, ones, twos) with the members carrying color 1 and color
+    2 as bitmasks, or None when no completion weighs at most `limit`.
     """
     base = s.bit_count() + forced.bit_count()
     constraints = {}  # distinct masks in first-appearance order
@@ -251,20 +251,25 @@ def _rainbow_completion(nbr: list, s: int, forced: int, limit):
     rem = [c.bit_count() for c in constraints]
     c1, c2 = [0] * len(constraints), [0] * len(constraints)
     found = None
-
-    def dfs(k: int, extra: int, ones: int, twos: int) -> None:
-        nonlocal found
-        if k == len(members):
+    # one frame per member on the path: [extra weight, ones, twos, choices tried]
+    frames = [[0, s & ~relevant, forced, 0]]
+    while True:
+        extra, ones, twos, tried = frame = frames[-1]
+        if len(frames) > len(members):
             if found is None or base + extra < found[0]:
                 found = (base + extra, ones, twos)
-            return
-        u, cis = members[k]
-        for d1, d2 in _RAINBOW_CHOICES:
+            frames.pop()
+        elif tried == len(_RAINBOW_CHOICES):
+            frames.pop()
+            if not frames:
+                return found
+        else:
+            frame[3] = tried + 1
+            d1, d2 = _RAINBOW_CHOICES[tried]
             ex2 = extra + d1 + d2 - 1
-            if base + ex2 > limit:
+            if base + ex2 > limit or found is not None and base + ex2 >= found[0]:
                 continue
-            if found is not None and base + ex2 >= found[0]:
-                continue
+            u, cis = members[len(frames) - 1]
             ok = True
             for ci in cis:
                 rem[ci] -= 1
@@ -273,14 +278,14 @@ def _rainbow_completion(nbr: list, s: int, forced: int, limit):
                 if rem[ci] == 0 and (c1[ci] == 0 or c2[ci] == 0):
                     ok = False
             if ok:
-                dfs(k + 1, ex2, ones | (d1 << u), twos | (d2 << u))
-            for ci in cis:
-                rem[ci] += 1
-                c1[ci] -= d1
-                c2[ci] -= d2
-
-    dfs(0, 0, s & ~relevant, forced)
-    return found
+                frames.append([ex2, ones | (d1 << u), twos | (d2 << u), 0])
+                continue
+        # take back the choice the top frame tried last
+        d1, d2 = _RAINBOW_CHOICES[frames[-1][3] - 1]
+        for ci in members[len(frames) - 1][1]:
+            rem[ci] += 1
+            c1[ci] -= d1
+            c2[ci] -= d2
 
 
 def _mis_pass(g: Graph, names) -> dict:
@@ -337,50 +342,31 @@ _THRESHOLD = {
 }
 
 
-def _bfs_order(g: Graph) -> list:
-    """BFS order starting from the max-degree vertex of each component."""
-    adj = g.adj
-    seen = [False] * g.n
-    order = []
-    for start in sorted(range(g.n), key=lambda v: (-len(adj[v]), v)):
-        if seen[start]:
-            continue
-        seen[start] = True
-        component = [start]
-        for v in component:
-            for u in adj[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    component.append(u)
-        order += component
-    return order
-
-
 def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple[int, list]:
     """Minimum-weight labeling with values in `labels` in which the labels of
     every 0-vertex's neighbors sum to at least k, as (weight, label per vertex).
 
-    Vertices are labeled in BFS order, trying `labels` in the given order; a
-    vertex is checked as soon as its closed neighborhood is labeled.  Each
-    vertex v not yet defended owes a deficit -- k minus what it receives for
-    a 0-vertex, the smaller of that and the least positive label for an
-    unlabeled one -- and the lower bound on the weight still to place is the
-    sum of deficit(v) / c(v), with c(v) = 1 + the largest degree in N[v]
-    (the fractional domination bound of van Rooij & Bodlaender, "Exact
-    algorithms for dominating set", Discrete Appl. Math. 159 (2011)).  It is
-    sound: a label x at u lowers each deficit in N[u] by at most x, and each
-    of those 1 + deg(u) vertices has c(v) >= 1 + deg(u), so the sum drops by
-    at most x.  The sum is kept as an integer scaled by the lcm of the c(v)
-    and updated in O(deg v) per label.  `incumbent` is a valid labeling; the
-    search only looks for strictly lighter ones.
+    Vertices are labeled in BFS order from the max-degree vertex of each
+    component, trying `labels` in the given order; a vertex is checked as soon
+    as its closed neighborhood is labeled.  Each vertex v not yet defended owes
+    a deficit -- k minus what it receives for a 0-vertex, the smaller of that
+    and the least positive label for an unlabeled one -- and the lower bound on
+    the weight still to place is the sum of deficit(v) / c(v), with c(v) = 1 +
+    the largest degree in N[v] (the fractional domination bound of van Rooij &
+    Bodlaender, "Exact algorithms for dominating set", Discrete Appl. Math. 159
+    (2011)).  It is sound: a label x at u lowers each deficit in N[u] by at most
+    x, and each of those 1 + deg(u) vertices has c(v) >= 1 + deg(u), so the sum
+    drops by at most x.  The sum is kept as an integer scaled by the lcm of the
+    c(v) and updated in O(deg v) per label.  `incumbent` is a valid labeling;
+    the search only looks for strictly lighter ones.
     """
     n = g.n
     best = [sum(incumbent), list(incumbent)]
-    order = _bfs_order(g)
+    adj = g.adj
+    order = bfs(g, sorted(range(n), key=lambda v: (-len(adj[v]), v)))[1]
     pos = [0] * n
     for i, v in enumerate(order):
         pos[v] = i
-    adj = g.adj
     close_list = [()] * n
     for u in range(n):
         cp = pos[u]
@@ -700,15 +686,7 @@ def _rooted_order(t: Graph) -> tuple[list, list]:
         raise ValueError("tree test of an empty graph is undefined")
     if t.m != n - 1:
         raise ValueError("input is not a tree")
-    adj = t.adj
-    parent = [-1] * n
-    parent[0] = n
-    order = [0]
-    for v in order:
-        for u in adj[v]:
-            if parent[u] < 0:
-                parent[u] = v
-                order.append(u)
+    parent, order = bfs(t)
     if len(order) != n:
         raise ValueError("input is not a tree")
     return parent, order

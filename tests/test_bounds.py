@@ -1,10 +1,13 @@
 """Bound records on single graphs and the deterministic fuzzer."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
-from idrd import SizeLimitError, build_graph, idn, idrdn, ir2dn
+from idrd import INVARIANT_NAMES, SizeLimitError, build_graph, idn, idrdn, ir2dn
 from idrd.bounds import (
+    _BOUND_INVARIANTS,
     BOUND_NAMES,
     GRAPH_CLASSES,
     TIGHTNESS_WITNESSED,
@@ -62,6 +65,25 @@ def test_anchor_strings_are_stable():
     assert table["B10-upper"].anchor == "idrdn <= 3*idn"
     assert table["B11"].anchor == "max_matching + min_edge_cover = order"
     assert table["B12"].anchor == "(idrdn == 3) = (max_degree == order - 1)"
+
+
+def test_anchors_name_only_table_invariants():
+    assert set(_BOUND_INVARIANTS) == {
+        "order", "max_degree", "min_degree", "idn", "ir2dn", "i2rdn", "idrdn",
+        "packing", "max_matching", "min_edge_cover",
+    }
+    assert set(_BOUND_INVARIANTS) <= set(INVARIANT_NAMES)
+
+
+def test_readme_bounds_table_is_the_record_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Bounds", 1)[1].split("\n#", 1)[0]
+    rows = [
+        tuple(cell.strip().strip("`").replace("≥", ">=") for cell in line.split("|")[1:-1])
+        for line in section.splitlines()
+        if line.startswith("| B")
+    ]
+    assert rows == [(r.name, r.anchor, r.applicability) for r in check_bounds(path_graph(4))]
 
 
 def test_known_sharp_instances():
@@ -190,6 +212,14 @@ def test_fuzz_report_shape():
     assert d["trials"] == 10
     assert d["violations"] == []
     assert isinstance(report, FuzzReport)
+
+
+def test_fuzz_without_a_connected_sample_raises():
+    message = "no connected sample on 2 vertices at p=0.000 after 1000 attempts"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fuzz("connected", 6, 3, p_range=(0.0, 0.0))
+    # the general class takes the same draws without the connectivity test
+    assert fuzz("general", 6, 3, p_range=(0.0, 0.0)).violations == []
 
 
 def test_fuzz_rejects_bad_arguments():

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, JSON envelopes, exit codes."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -8,8 +9,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import idrd
 from idrd import build_graph, serialize_edge_list
@@ -481,6 +484,56 @@ def test_fuzz_argument_errors(capsys):
 def test_command_is_required(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_fuzz_without_a_connected_sample_is_an_input_error(capsys):
+    code, out, err = run(
+        ["fuzz", "connected", "6", "3", "--p-min", "0", "--p-max", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: no connected sample on 2 vertices at p=0.000 after 1000 attempts\n"
+
+
+# ---------------------------------------------------------------------------
+# undecodable and arbitrary input
+# ---------------------------------------------------------------------------
+
+EDGE_LIST_COMMANDS = (
+    ["solve", "--invariants", "idn", "--json"],
+    ["bounds", "--json"],
+    ["classify", "--json"],
+)
+
+
+@pytest.mark.parametrize("command", EDGE_LIST_COMMANDS)
+def test_undecodable_input_file_is_an_input_error(command, tmp_path, capsys):
+    path = tmp_path / "graph.txt"
+    path.write_bytes(b"\xff 3 0\n")
+    code, out, err = run(command + ["--input", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert err == (
+        "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=120))
+@example(b"\xff 3 0\n")
+@example(b"3 2\n0 1\n1 2\n")
+@example(b"3 2\n0 1\n0 1\n")
+@example(b"40 0\n")
+@example(b"# \xc3\xa9\n2 1\n0 1\n")
+def test_arbitrary_stdin_bytes_end_in_a_documented_exit_code(data):
+    # stdin decoded strictly, as under a UTF-8 locale
+    for command in EDGE_LIST_COMMANDS:
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), mock.patch.object(sys, "stdin", stdin), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            os.environ.pop("IDRD_SIZE_LIMIT", None)
+            code = main(command + ["--input", "-"])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 2, 3, 4)
+        assert len(lines) == (code != 0)
+        assert all(line.startswith("error: ") for line in lines)
 
 
 # ---------------------------------------------------------------------------

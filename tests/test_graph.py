@@ -16,6 +16,8 @@ from idrd import (
     serialize_edge_list,
 )
 
+from idrd.graph import bfs
+
 from conftest import complete_graph, cycle_graph, empty_graph, graphs, path_graph, trees
 
 
@@ -122,6 +124,13 @@ def test_connectivity_and_tree_tests():
         empty_graph(0).is_connected()
     with pytest.raises(ValueError, match="empty graph"):
         empty_graph(0).is_tree()
+
+
+def test_bfs_walks_from_each_unreached_start_in_turn():
+    g = build_graph(6, [(0, 1), (1, 2), (3, 4)])
+    assert bfs(g) == ([6, 0, 1, -1, -1, -1], [0, 1, 2])
+    assert bfs(g, (4, 2, 1, 5)) == ([1, 2, 6, 4, 6, 6], [4, 3, 2, 1, 0, 5])
+    assert bfs(empty_graph(0), ()) == ([], [])
 
 
 def test_equality_and_hash():

@@ -37,7 +37,13 @@ from idrd import (
     tree_idrdn,
     tree_ir2dn,
 )
-from idrd.solvers import _THRESHOLD, _matching_partners, _threshold_search
+from idrd.solvers import (
+    _THRESHOLD,
+    _matching_partners,
+    _neighbor_masks,
+    _rainbow_completion,
+    _threshold_search,
+)
 
 from conftest import (
     complete_graph,
@@ -133,6 +139,19 @@ def test_mis_pass_handles_deep_enumerations():
     entries = compute_invariants(empty_graph(1200), names, size_limit=5000).entries
     assert time.perf_counter() - start < 5.0
     assert [entries[name] for name in names] == [1200, 1200, 2400, 1200, 1200]
+
+
+def test_rainbow_completion_handles_deep_searches():
+    # S holds one opposite pair of each 4-cycle: 1200 members, none forced,
+    # so the search path is 1200 members deep.
+    cycles = 600
+    g = build_graph(4 * cycles, [
+        (4 * c + i, 4 * c + (i + 1) % 4) for c in range(cycles) for i in range(4)])
+    s = sum(1 << 4 * c | 1 << 4 * c + 2 for c in range(cycles))
+    weight, ones, twos = _rainbow_completion(_neighbor_masks(g), s, 0, float("inf"))
+    assert weight == 2 * cycles
+    assert ones == sum(1 << 4 * c for c in range(cycles))
+    assert twos == sum(1 << 4 * c + 2 for c in range(cycles))
 
 
 def test_forced_threes_on_a_double_star():
