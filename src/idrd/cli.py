@@ -11,7 +11,8 @@ human-oriented and may change.
 Exit codes: 0 success; 1 fuzz found violations; 2 input error (unparsable
 or undecodable edge list, unparsable spec text, unknown invariant name, bad
 flags, a fuzz p range that cannot produce a connected sample, non-integer
-IDRD_SIZE_LIMIT); 3 exact-solver size limit exceeded (IDRD_SIZE_LIMIT
+IDRD_SIZE_LIMIT, `--input -` with stdin closed, an output write that fails,
+e.g. to a full device); 3 exact-solver size limit exceeded (IDRD_SIZE_LIMIT
 overrides the default of 24; `family` checks the spec's order, and `solve`
 and `bounds` the header's order, before they build the graph); 4 domain
 error (no closed form, non-tree classify, inadmissible pair).  classify and
@@ -70,6 +71,8 @@ def _emit_json(command: str, digest: str, payload) -> None:
 
 def _read_edges(path: str) -> tuple[int, list]:
     if path == "-":
+        if sys.stdin is None:  # the process was started with stdin closed
+            raise ValueError("standard input is closed")
         text = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as handle:
@@ -367,7 +370,12 @@ def main(argv=None) -> int:
         args.size_limit = resolve_limit()
     except ValueError as exc:
         return _error(EXIT_INPUT, str(exc))
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # buffered output fails here, not at interpreter exit
+    except OSError as exc:  # commands catch their own input errors
+        return _error(EXIT_INPUT, f"cannot write output: {exc}")
+    return code
 
 
 def entry() -> None:

@@ -26,8 +26,10 @@ No vertex of S ever takes the value 1 in an optimal independent double Roman
 labeling: a 1-vertex would need a neighbor labeled >= 2, contradicting
 independence of the positive set.  `_mis_pass` enumerates the sets once and
 computes forced(S) once per set for every requested number.  Every set is an
-int bitmask over the vertices, built per call from `Graph.neighbor_mask`, and
-the enumeration runs on an explicit stack, not Python's recursion.
+int bitmask over the vertices.  The enumeration builds its masks from the
+neighbor tuples `Graph.adj` and runs on an explicit stack, not Python's
+recursion.  A rainbow completion that could at best tie with a set earlier in
+lexicographic order is not searched: the tie would lose.
 
 One threshold branch and bound
 ------------------------------
@@ -51,13 +53,18 @@ in N[v].  A label x at u lowers each of the 1 + deg(u) deficits in N[u] by
 at most x, and each of those vertices has c(v) >= 1 + deg(u), so the sum
 drops by at most x.  The sum is kept exactly, as an integer, and updated as
 labels are set.  The corresponding independent number provides the starting
-incumbent.
+incumbent.  The search, too, runs on an explicit stack.
+
+The packing number is a third, separate search: a maximum independent set of
+the square graph, by include-first branch and bound (Tarjan & Trojanowski,
+"Finding a maximum independent set", SIAM J. Comput. 6 (1977)).
 
 Exact exponential solvers refuse graphs larger than 24 vertices unless the
 IDRD_SIZE_LIMIT environment variable (or the `size_limit` argument) raises
 the bar.  Witnesses from the enumeration-based solvers break ties toward the
-lexicographically smallest positive set; the branch-and-bound witnesses are
-the deterministic first optimum found.
+lexicographically smallest positive set, and the packing witness is the
+lexicographically smallest maximum packing; the threshold witnesses are the
+deterministic first optimum found.
 """
 
 import math
@@ -135,19 +142,21 @@ def _neighbor_masks(g: Graph) -> list:
     return [g.neighbor_mask(v) for v in range(g.n)]
 
 
-def _mis_masks(nbr: list):
-    """Yield each maximal independent set of the graph with neighbor masks
-    `nbr` once, as a vertex bitmask: pivoting Bron–Kerbosch on the complement
-    (Tomita, Tanaka & Takahashi, Theor. Comput. Sci. 363 (2006)) on an
-    explicit stack.  P and X are masks over the positions in the vertex order
-    by descending degree, then index; R is in vertex bits.  The pivot is the
-    member of P ∪ X with most nonneighbors in P, ties to the earliest
-    position; candidates go in ascending position."""
-    n = len(nbr)
-    order = sorted(range(n), key=lambda v: (-nbr[v].bit_count(), v))
-    at = {v: 1 << i for i, v in enumerate(order)}
+def _mis_masks(adj: tuple):
+    """Yield each maximal independent set of the graph with neighbor tuples
+    `adj` (a `Graph.adj`) once, as a vertex bitmask: pivoting Bron–Kerbosch
+    on the complement (Tomita, Tanaka & Takahashi, Theor. Comput. Sci. 363
+    (2006)) on an explicit stack.  P and X are masks over the positions in
+    the vertex order by descending degree, then index; R is in vertex bits.
+    The pivot is the member of P ∪ X with most nonneighbors in P, ties to the
+    earliest position; candidates go in ascending position."""
+    n = len(adj)
+    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
+    at = [0] * n  # vertex -> its position bit
+    for i, v in enumerate(order):
+        at[v] = 1 << i
     full = (1 << n) - 1
-    nonadj = [full ^ at[v] ^ sum(at[u] for u in _bits(nbr[v])) for v in order]
+    nonadj = [full ^ at[v] ^ sum(map(at.__getitem__, adj[v])) for v in order]
     vertex = [1 << v for v in order]
     frames = []  # [r, p, x, candidates not yet branched on]
     r, p, x = 0, full, 0
@@ -180,7 +189,7 @@ def _mis_masks(nbr: list):
 def maximal_independent_sets(g: Graph):
     """Yield every maximal independent set of g exactly once, deterministically,
     as frozensets in the order of `_mis_masks`."""
-    for s in _mis_masks(_neighbor_masks(g)):
+    for s in _mis_masks(g.adj):
         yield frozenset(_bits(s))
 
 
@@ -293,8 +302,10 @@ def _mis_pass(g: Graph, names) -> dict:
 
     One scan of the maximal independent sets serves idn, ir2dn, idrdn and
     i2rdn alike.  Ties go to the lexicographically smallest sorted positive
-    set, built only on a tie or a gain.  The rainbow completion is skipped
-    when |S| + |forced(S)| already exceeds the best rainbow weight so far.
+    set, built only on a tie or a gain.  The rainbow completion only looks
+    for weights that could win: at most the best rainbow weight so far when
+    S sorts before the best set, one less when S sorts after it.  It is
+    skipped when |S| + |forced(S)| already exceeds that limit.
     """
     weighted = [(name, *_MIS_WEIGHTS[name]) for name in _MIS_WEIGHTS if name in names]
     rainbow = "i2rdn" in names
@@ -306,17 +317,25 @@ def _mis_pass(g: Graph, names) -> dict:
         for name in ("idn", "ir2dn", "i2rdn", "idrdn")
         if name in names
     }
-    for s in _mis_masks(nbr):
+    for s in _mis_masks(g.adj):
         forced = _forced_mask(nbr, s) if need_forced else 0
         size, strong_count = s.bit_count(), forced.bit_count()
         scores = [
             (name, weak * size + (strong - weak) * strong_count, s, forced)
             for name, weak, strong in weighted
         ]
-        if rainbow and size + strong_count <= best["i2rdn"][0]:
-            completion = _rainbow_completion(nbr, s, forced, best["i2rdn"][0])
-            if completion:
-                scores.append(("i2rdn", *completion))
+        if rainbow:
+            limit, _, ones, twos = best["i2rdn"]
+            # Maximal independent sets never nest, so S sorts after the best
+            # set (ones | twos) exactly when their lowest difference is in it;
+            # then a tie loses, and only a lighter completion counts.
+            first = s ^ (ones | twos)
+            if (ones | twos) & first & -first:
+                limit -= 1
+            if size + strong_count <= limit:
+                completion = _rainbow_completion(nbr, s, forced, limit)
+                if completion:
+                    scores.append(("i2rdn", *completion))
         members = None
         for name, weight, low, high in scores:
             if weight <= best[name][0]:
@@ -358,10 +377,11 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
     x, and each of those 1 + deg(u) vertices has c(v) >= 1 + deg(u), so the sum
     drops by at most x.  The sum is kept as an integer scaled by the lcm of the
     c(v) and updated in O(deg v) per label.  `incumbent` is a valid labeling;
-    the search only looks for strictly lighter ones.
+    the search only looks for strictly lighter ones.  It runs on an explicit
+    stack, so a search of any depth fits.
     """
     n = g.n
-    best = [sum(incumbent), list(incumbent)]
+    best_w, best_vals = sum(incumbent), list(incumbent)
     adj = g.adj
     order = bfs(g, sorted(range(n), key=lambda v: (-len(adj[v]), v)))[1]
     pos = [0] * n
@@ -383,17 +403,20 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
     zero_deficit = [k - r for r in range(k)] + pad
     vals = [-1] * n
     received = [0] * n
-
-    def dfs(i: int, w: int, owed: int) -> None:
-        if i == n:
-            if w < best[0]:
-                best[0], best[1] = w, vals.copy()
-            return
-        v = order[i]
-        r = received[v]
-        for val in labels:
+    # Depth i labels order[i].  The depths above i keep one frame each on an
+    # explicit stack (weight and owed sum on reaching the depth, what its
+    # vertex receives, the index of its next label); depth i's are locals.
+    stack = []
+    i, w, owed, t = 0, 0, sum(open_deficit[0] * x for x in unit), 0
+    v = order[0]
+    r = received[v]
+    nl = len(labels)
+    while True:
+        while t < nl:
+            val = labels[t]
+            t += 1
             w2 = w + val
-            if w2 >= best[0]:
+            if w2 >= best_w:
                 continue
             vals[v] = val
             owed2 = owed
@@ -410,15 +433,33 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
                 if not vals[u] and received[u] < k:
                     break
             else:
-                if w2 + -(-owed2 // scale) < best[0]:
-                    dfs(i + 1, w2, owed2)
+                if w2 + -(-owed2 // scale) < best_w:
+                    if i + 1 < n:
+                        break  # descend with val in place
+                    # a full labeling; passing the bound made it lighter
+                    best_w, best_vals = w2, vals.copy()
             if val:
                 for u in adj[v]:
                     received[u] -= val
             vals[v] = -1
-
-    dfs(0, 0, sum(open_deficit[0] * x for x in unit))
-    return best[0], best[1]
+        else:
+            if not stack:
+                return best_w, best_vals
+            # back to the depth above: take back the label it holds
+            i -= 1
+            v = order[i]
+            val = vals[v]
+            if val:
+                for u in adj[v]:
+                    received[u] -= val
+            vals[v] = -1
+            w, owed, r, t = stack.pop()
+            continue
+        stack.append((w, owed, r, t))
+        i += 1
+        w, owed, t = w2, owed2, 0
+        v = order[i]
+        r = received[v]
 
 
 # ---------------------------------------------------------------------------
@@ -507,26 +548,38 @@ def gamma_dr(g: Graph, size_limit: int | None = None) -> int:
 def packing_number(g: Graph, size_limit: int | None = None) -> tuple[int, frozenset]:
     """Maximum 2-packing (pairwise disjoint closed neighborhoods) with witness.
 
-    A set is a packing iff it is independent in the square graph (vertices at
-    distance <= 2 adjacent), so the maximum is found among the square's
-    maximal independent sets.
+    A set is a packing iff no two members are within distance 2, so this is a
+    maximum independent set of the square graph, found by the include-first
+    branch and bound of Tarjan & Trojanowski ("Finding a maximum independent
+    set", SIAM J. Comput. 6 (1977)) on an explicit stack: vertices in
+    ascending order, a branch cut when its size plus its candidates cannot
+    beat the best, the best replaced only by a strictly larger set.  Two
+    maximum sets are never prefixes of each other, so the search meets them
+    in lexicographic order, and the witness is the lexicographically
+    smallest maximum packing.
     """
     _guard(g.n, size_limit)
     _require_vertices(g)
     closed = [nb | (1 << v) for v, nb in enumerate(_neighbor_masks(g))]
-    square = []
-    for v, nb in enumerate(closed):
-        within_two = 0
-        for u in _bits(nb):
+    reach = []  # reach[v]: the vertices within distance 2 of v, v included
+    for v, nb in enumerate(g.adj):
+        within_two = closed[v]
+        for u in nb:
             within_two |= closed[u]
-        square.append(within_two ^ (1 << v))
-    best_size, best = -1, ()
-    for s in _mis_masks(square):
-        if s.bit_count() >= best_size:
-            members = tuple(_bits(s))
-            if (-len(members), members) < (-best_size, best):
-                best_size, best = len(members), members
-    return best_size, frozenset(best)
+        reach.append(within_two)
+    best_size, best = 0, 0
+    stack = [(0, 0, (1 << g.n) - 1)]  # (size, members, candidates)
+    while stack:
+        size, members, cand = stack.pop()
+        if size + cand.bit_count() <= best_size:
+            continue
+        if not cand:
+            best_size, best = size, members
+            continue
+        b = cand & -cand
+        stack.append((size, members, cand ^ b))
+        stack.append((size + 1, members | b, cand & ~reach[b.bit_length() - 1]))
+    return best_size, frozenset(_bits(best))
 
 
 def _matching_partners(g: Graph) -> tuple:

@@ -97,15 +97,18 @@ _RAINBOW_SETS = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1, 2)
 
 
 def brute_i2rdn(n, edges):
+    """(weight, positive set) of the optimal independent 2-rainbow labelings:
+    the least weight, and the lexicographically smallest sorted positive set
+    among the labelings of that weight."""
     adj = adjacency(n, edges)
     best = None
     for sets in product(_RAINBOW_SETS, repeat=n):
         if rainbow_valid(adj, sets) and positive_independent(
             adj, [bool(s) for s in sets]
         ):
-            w = sum(len(s) for s in sets)
-            if best is None or w < best:
-                best = w
+            key = (sum(len(s) for s in sets), tuple(v for v, s in enumerate(sets) if s))
+            if best is None or key < best:
+                best = key
     return best
 
 
@@ -200,18 +203,20 @@ def reference_maximal_independent_sets(n, edges):
 
 
 def brute_packing(n, edges):
+    """(size, members) of the lexicographically smallest maximum packing,
+    members as a sorted tuple."""
     adj = adjacency(n, edges)
     closed = [adj[v] | {v} for v in range(n)]
-    best = 0
+    best = ()
     for mask in range(1 << n):
-        members = [v for v in range(n) if (mask >> v) & 1]
+        members = tuple(v for v in range(n) if (mask >> v) & 1)
         if all(
             not (closed[u] & closed[v])
             for i, u in enumerate(members)
             for v in members[i + 1 :]
-        ):
-            best = max(best, len(members))
-    return best
+        ) and (-len(members), members) < (-len(best), best):
+            best = members
+    return len(best), best
 
 
 def brute_max_matching(n, edges):

@@ -203,6 +203,29 @@ def test_fuzz_finds_no_violations_on_each_class():
         assert any(v > 0 for v in report.tight_counts.values())
 
 
+# Tight counts of a seeded run per class.  A change to any invariant value
+# on these 600 graphs moves them.
+@pytest.mark.parametrize("graph_class, counts", [
+    ("connected", {
+        "B1-lower": 107, "B1-upper": 22, "B2": 0, "B3": 18, "B4": 188, "B5": 28,
+        "B6-lower": 13, "B6-upper": 117, "B7": 20, "B8": 81, "B9": 47,
+        "B10-lower": 46, "B10-upper": 35, "B11": 0, "B12": 0,
+    }),
+    ("general", {
+        "B1-lower": 73, "B1-upper": 36, "B2": 0, "B3": 34, "B4": 151, "B5": 14,
+        "B6-lower": 28, "B6-upper": 83, "B7": 14, "B8": 56, "B9": 20,
+        "B10-lower": 20, "B10-upper": 14, "B11": 0, "B12": 0,
+    }),
+    ("tree", {
+        "B1-lower": 49, "B1-upper": 32, "B2": 0, "B3": 32, "B4": 160, "B5": 49,
+        "B6-lower": 14, "B6-upper": 76, "B7": 5, "B8": 34, "B9": 71,
+        "B10-lower": 54, "B10-upper": 76, "B11": 0, "B12": 0,
+    }),
+])
+def test_fuzz_tight_counts_are_pinned(graph_class, counts):
+    assert fuzz(graph_class, 12, 200, seed=7).tight_counts == counts
+
+
 def test_fuzz_report_shape():
     report = fuzz("tree", 6, 10, seed=3)
     d = report.to_dict()

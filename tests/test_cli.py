@@ -514,6 +514,52 @@ def test_undecodable_input_file_is_an_input_error(command, tmp_path, capsys):
         "error: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
 
 
+@pytest.mark.parametrize("command", EDGE_LIST_COMMANDS)
+def test_closed_stdin_is_an_input_error(command, capsys, monkeypatch):
+    # a process started with stdin closed has sys.stdin None
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run(command + ["--input", "-"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: standard input is closed\n"
+
+
+class _FullDevice(io.StringIO):
+    """A stdout that fails like a full device: on write, or, buffered, on flush."""
+
+    def __init__(self, fail_on):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def write(self, text):
+        if self.fail_on == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.fail_on == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--input", "-"],
+    ["solve", "--input", "-", "--witness", "--json"],
+    ["family", "path:5", "--json"],
+    ["classify", "--input", "-"],
+    ["realize", "2", "5"],
+    ["bounds", "--input", "-", "--json"],
+    ["fuzz", "tree", "6", "5"],
+])
+def test_failed_output_write_is_an_input_error(argv, fail_on, capsys, monkeypatch):
+    monkeypatch.delenv("IDRD_SIZE_LIMIT", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_edge_list(path_graph(5))))
+    monkeypatch.setattr("sys.stdout", _FullDevice(fail_on))
+    code = main(argv)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n")
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.binary(max_size=120))
 @example(b"\xff 3 0\n")

@@ -201,7 +201,9 @@ def test_ir2dn_matches_brute(g):
 @given(graphs(max_n=6))
 def test_i2rdn_matches_brute(g):
     value, witness = i2rdn(g)
-    assert value == oracles.brute_i2rdn(g.n, g.edges)
+    # ties go to the lexicographically smallest positive set
+    positive = tuple(v for v, s in enumerate(witness.values) if s)
+    assert (value, positive) == oracles.brute_i2rdn(g.n, g.edges)
     assert is_i2rdf(g, witness)
     assert witness.weight() == value
 
@@ -218,8 +220,8 @@ def test_gamma_solvers_match_brute(g):
 @given(graphs(max_n=7))
 def test_packing_matches_brute(g):
     value, witness = packing_number(g)
-    assert value == oracles.brute_packing(g.n, g.edges)
-    assert len(witness) == value
+    # the witness is the lexicographically smallest maximum packing
+    assert (value, tuple(sorted(witness))) == oracles.brute_packing(g.n, g.edges)
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,6 +404,14 @@ def test_threshold_bound_alone_is_sound(name, g):
     assert sum(vals) == value
     adj = oracles.adjacency(g.n, g.edges)
     assert all(x or sum(vals[u] for u in adj[v]) >= k for v, x in enumerate(vals))
+
+
+def test_threshold_search_handles_deep_searches():
+    # S(2,2) and 1500 isolated vertices: every search path is 1506 labels deep.
+    g = build_graph(1506, double_star(2, 2).edges)
+    names = ["gamma", "gamma_r2", "gamma_dr"]
+    entries = compute_invariants(g, names, size_limit=5000).entries
+    assert entries == {"gamma": 1502, "gamma_r2": 1504, "gamma_dr": 3006}
 
 
 def test_plain_numbers_at_order_24_are_fast():
