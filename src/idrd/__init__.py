@@ -1,6 +1,8 @@
 """Exact solvers, closed-form families, bound checks, and tree
 classification for independent double Roman domination and its relatives."""
 
+import types
+
 from .graph import (
     EdgeListParseError,
     Graph,
@@ -49,44 +51,8 @@ from .solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_SIZE_LIMIT",
-    "DRLabeling",
-    "EdgeListParseError",
-    "Graph",
-    "INVARIANT_NAMES",
-    "InvariantTable",
-    "R2Labeling",
-    "RainbowLabeling",
-    "SizeLimitError",
-    "SplitMix64",
-    "ValidationResult",
-    "build_graph",
-    "compute_invariants",
-    "domination_number",
-    "forced_threes",
-    "gamma_dr",
-    "gamma_r2",
-    "i2rdn",
-    "idn",
-    "idrdn",
-    "ir2dn",
-    "is_2rdf",
-    "is_drdf",
-    "is_i2rdf",
-    "is_idrdf",
-    "is_ir2df",
-    "is_r2df",
-    "max_matching",
-    "maximal_independent_sets",
-    "min_edge_cover",
-    "packing_number",
-    "parse_edge_list",
-    "prufer_decode",
-    "random_graph",
-    "random_tree",
-    "serialize_edge_list",
-    "tree_idn",
-    "tree_idrdn",
-    "tree_ir2dn",
-]
+# The public names are the imported ones: no leading underscore, no module.
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

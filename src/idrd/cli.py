@@ -12,22 +12,35 @@ Exit codes: 0 success; 1 fuzz found violations; 2 input error (unparsable
 or undecodable edge list, unparsable spec text, unknown invariant name, bad
 flags, a fuzz p range that cannot produce a connected sample, non-integer
 IDRD_SIZE_LIMIT, `--input -` with stdin closed, an output write that fails,
-e.g. to a full device); 3 exact-solver size limit exceeded (IDRD_SIZE_LIMIT
-overrides the default of 24; `family` checks the spec's order, and `solve`
-and `bounds` the header's order, before they build the graph); 4 domain
-error (no closed form, non-tree classify, inadmissible pair).  classify and
-realize read the linear-time tree DPs, so they never exit 3; classify
-rejects a header with fewer than n - 1 edges before it builds the graph.
+e.g. to a full device or a closed stdout, --help text included); 3
+exact-solver size limit exceeded (IDRD_SIZE_LIMIT overrides the default of
+24; `family` checks the spec's order, and `solve` and `bounds` the header's
+order, before they build the graph); 4 domain error (no closed form,
+non-tree classify, inadmissible pair).  classify and realize read the
+linear-time tree DPs, so they never exit 3; classify rejects a header with
+fewer than n - 1 edges before it builds the graph.
+
+The exit code follows the type of the exception a command raises
+(SizeLimitError 3, families.DomainError 4, other ValueError or OSError 2).
 """
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import sys
 
 from .bounds import GRAPH_CLASSES, check_bounds, fuzz
-from .families import classify_tree, formula_idrdn, generate, parse_family_spec, realize
+from .families import (
+    DomainError,
+    classify_tree,
+    formula_idrdn,
+    generate,
+    parse_family_spec,
+    realize,
+)
 from .graph import build_graph, parse_edges, serialize_edge_list
 from .labelings import DRLabeling, RainbowLabeling
 from .solvers import (
@@ -49,6 +62,14 @@ EXIT_INPUT = 2
 EXIT_SIZE = 3
 EXIT_DOMAIN = 4
 
+# A command's exception type -> exit code; the nearest class in the MRO wins.
+_EXIT_CODES = {
+    SizeLimitError: EXIT_SIZE,
+    DomainError: EXIT_DOMAIN,
+    ValueError: EXIT_INPUT,
+    OSError: EXIT_INPUT,
+}
+
 
 def _error(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -59,6 +80,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _json_default(value):
+    """JSON form of a labeling (its values) and of a 2-rainbow label (sorted)."""
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, (DRLabeling, RainbowLabeling)):
+        return value.values
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _emit_json(command: str, digest: str, payload) -> None:
     envelope = {
         "schema_version": SCHEMA_VERSION,
@@ -66,7 +96,7 @@ def _emit_json(command: str, digest: str, payload) -> None:
         "input_digest": digest,
         "payload": payload,
     }
-    print(json.dumps(envelope, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(envelope, sort_keys=True, separators=(",", ":"), default=_json_default))
 
 
 def _read_edges(path: str) -> tuple[int, list]:
@@ -80,16 +110,6 @@ def _read_edges(path: str) -> tuple[int, list]:
     return parse_edges(text)
 
 
-def _witness_json(witness):
-    if isinstance(witness, RainbowLabeling):
-        return [sorted(s) for s in witness.values]
-    if isinstance(witness, DRLabeling):
-        return list(witness.values)
-    if witness and isinstance(witness[0], tuple):
-        return [list(e) for e in witness]
-    return list(witness)
-
-
 def _witness_lines(witness):
     if isinstance(witness, (DRLabeling, RainbowLabeling)):
         return ["  " + line for line in witness.witness_text().splitlines()]
@@ -99,25 +119,18 @@ def _witness_lines(witness):
 
 
 def _cmd_solve(args) -> int:
-    try:
-        n, edges = _read_edges(args.input)
-        which = None if args.invariants is None else args.invariants.split(",")
-        names = admit(n, which, args.size_limit)
-        g = build_graph(n, edges)
-        table = compute_invariants(g, names, size_limit=args.size_limit)
-    except SizeLimitError as exc:
-        return _error(EXIT_SIZE, str(exc))
-    except (OSError, ValueError) as exc:
-        return _error(EXIT_INPUT, str(exc))
+    n, edges = _read_edges(args.input)
+    which = None if args.invariants is None else args.invariants.split(",")
+    names = admit(n, which, args.size_limit)
+    g = build_graph(n, edges)
+    table = compute_invariants(g, names, size_limit=args.size_limit)
     digest = _digest(serialize_edge_list(g))
     payload = {
         "invariants": table.entries,
         "not_applicable": table.not_applicable,
     }
     if args.witness:
-        payload["witnesses"] = {
-            name: _witness_json(w) for name, w in table.witnesses.items()
-        }
+        payload["witnesses"] = table.witnesses
     if args.json:
         _emit_json("solve", digest, payload)
     else:
@@ -131,22 +144,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    try:
-        spec = parse_family_spec(args.spec)
-    except ValueError as exc:
-        return _error(EXIT_INPUT, str(exc))
+    spec = parse_family_spec(args.spec)
     payload = {"kind": spec.kind, "params": list(spec.params)}
     if args.mode in ("formula", "both"):
-        try:
-            payload["formula"] = formula_idrdn(spec)
-        except ValueError as exc:
-            return _error(EXIT_DOMAIN, str(exc))
+        payload["formula"] = formula_idrdn(spec)
     if args.mode in ("solve", "both"):
-        try:
-            admit(spec.order, ["idrdn"], args.size_limit)
-            payload["solver"] = idrdn(generate(spec), size_limit=args.size_limit)[0]
-        except SizeLimitError as exc:
-            return _error(EXIT_SIZE, str(exc))
+        admit(spec.order, ["idrdn"], args.size_limit)
+        payload["solver"] = idrdn(generate(spec), size_limit=args.size_limit)[0]
     if args.mode == "both":
         payload["agree"] = payload["formula"] == payload["solver"]
     digest = _digest(spec.text())
@@ -161,19 +165,13 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        n, edges = _read_edges(args.input)
-    except (OSError, ValueError) as exc:  # undecodable text is a ValueError too
-        return _error(EXIT_INPUT, str(exc))
+    n, edges = _read_edges(args.input)
     # Duplicate edge lines only lower the count, so fewer than n - 1 lines
     # rule out a tree before the graph is built.
     if n and len(edges) < n - 1:
-        return _error(EXIT_DOMAIN, "input is not a tree")
+        raise DomainError("input is not a tree")
     g = build_graph(n, edges)
-    try:
-        result = classify_tree(g)
-    except ValueError as exc:
-        return _error(EXIT_DOMAIN, str(exc))
+    result = classify_tree(g)
     diff = tree_ir2dn(g) - tree_idn(g)
     digest = _digest(serialize_edge_list(g))
     payload = {
@@ -195,18 +193,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_realize(args) -> int:
-    try:
-        t = realize(args.a, args.b)
-    except ValueError as exc:
-        return _error(EXIT_DOMAIN, str(exc))
+    t = realize(args.a, args.b)
     got_a, got_b = tree_idn(t), tree_idrdn(t)
     text = serialize_edge_list(t)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        except OSError as exc:
-            return _error(EXIT_INPUT, str(exc))
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
     payload = {
         "a": args.a,
         "b": args.b,
@@ -231,15 +223,10 @@ def _cmd_realize(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    try:
-        n, edges = _read_edges(args.input)
-        admit(n, None, args.size_limit)  # check_bounds reads exponential invariants
-        g = build_graph(n, edges)
-        records = check_bounds(g, size_limit=args.size_limit)
-    except SizeLimitError as exc:
-        return _error(EXIT_SIZE, str(exc))
-    except (OSError, ValueError) as exc:
-        return _error(EXIT_INPUT, str(exc))
+    n, edges = _read_edges(args.input)
+    admit(n, None, args.size_limit)  # check_bounds reads exponential invariants
+    g = build_graph(n, edges)
+    records = check_bounds(g, size_limit=args.size_limit)
     digest = _digest(serialize_edge_list(g))
     if args.json:
         _emit_json("bounds", digest, {"bounds": [r.to_dict() for r in records]})
@@ -258,19 +245,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    try:
-        report = fuzz(
-            args.graph_class,
-            args.max_n,
-            args.trials,
-            (args.p_min, args.p_max),
-            args.seed,
-            size_limit=args.size_limit,
-        )
-    except ValueError as exc:
-        return _error(EXIT_INPUT, str(exc))
-    except SizeLimitError as exc:
-        return _error(EXIT_SIZE, str(exc))
+    report = fuzz(
+        args.graph_class,
+        args.max_n,
+        args.trials,
+        (args.p_min, args.p_max),
+        args.seed,
+        size_limit=args.size_limit,
+    )
     digest = _digest(
         f"{args.graph_class} {args.max_n} {args.trials} {args.seed}"
         f" {args.p_min} {args.p_max}"
@@ -364,17 +346,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.  The command prints into a
+    buffer, written once it has finished (so an OSError it raises concerns
+    its input) and dropped when it raises one of `_EXIT_CODES`.  argparse's
+    SystemExit (usage errors, --help) is raised again once its text is out."""
+    buffer = io.StringIO()
     try:
-        args.size_limit = resolve_limit()
-    except ValueError as exc:
-        return _error(EXIT_INPUT, str(exc))
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # buffered output fails here, not at interpreter exit
-    except OSError as exc:  # commands catch their own input errors
-        return _error(EXIT_INPUT, f"cannot write output: {exc}")
+        with contextlib.redirect_stdout(buffer):
+            args = build_parser().parse_args(argv)
+            args.size_limit = resolve_limit()
+            code = args.func(args)
+    except SystemExit as exc:
+        code = exc
+    except tuple(_EXIT_CODES) as exc:
+        kind = next(k for k in type(exc).__mro__ if k in _EXIT_CODES)
+        return _error(_EXIT_CODES[kind], str(exc))
+    text = buffer.getvalue()
+    if text:  # empty after an argparse usage error
+        try:
+            if sys.stdout is None:  # the process was started with stdout closed
+                raise OSError("standard output is closed")
+            sys.stdout.write(text)
+            sys.stdout.flush()  # buffered output fails here, not at interpreter exit
+        except OSError as exc:
+            return _error(EXIT_INPUT, f"cannot write output: {exc}")
+    if isinstance(code, SystemExit):
+        raise code
     return code
 
 

@@ -17,6 +17,9 @@ Canonical vertex numbering (fixed so generated graphs are stable):
   i < s of center 1 is the pair (3+2r+2i, 4+2r+2i).  Final order 2(r+s)+3.
 * corona_of_star t: star center 0 with leaves 1..t, plus one pendant
   t+1+v attached to each star vertex v.  Final order 2t+2.
+
+A well-formed request outside a routine's domain (no closed form, a graph
+that is not a tree, an inadmissible pair) raises DomainError, a ValueError.
 """
 
 from dataclasses import dataclass
@@ -38,6 +41,10 @@ _SHORT_NAMES = {
 _ALIAS_OF = {kind: alias for alias, kind in _SHORT_NAMES.items()}
 
 KINDS = tuple(_SHORT_NAMES.values())
+
+
+class DomainError(ValueError):
+    """A well-formed request that lies outside the routine's domain."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +181,7 @@ def formula_idrdn(spec: FamilySpec) -> int:
     """Closed-form independent double Roman domination number.
 
     Available for paths (any n >= 1), cycles (n >= 3), complete graphs with
-    n >= 2, and complete multipartite graphs; other kinds raise ValueError.
+    n >= 2, and complete multipartite graphs; other kinds raise DomainError.
     """
     kind, params = spec.kind, spec.params
     if kind == "path":
@@ -186,12 +193,12 @@ def formula_idrdn(spec: FamilySpec) -> int:
     if kind == "complete":
         n = params[0]
         if n < 2:
-            raise ValueError("no closed form for a one-vertex complete graph")
+            raise DomainError("no closed form for a one-vertex complete graph")
         return 3
     if kind == "complete_multipartite":
         m1 = params[0]
         return 3 if m1 == 1 else 2 * m1
-    raise ValueError(f"no closed form for kind {kind!r}")
+    raise DomainError(f"no closed form for kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -255,10 +262,12 @@ def classify_tree(t: Graph) -> TreeClass:
     so no vertex qualifies as a star-like center.  T_family parameters win
     on (impossible) overlaps by construction order.
     """
+    if t.n == 0:  # where Graph.is_tree raises a plain ValueError
+        raise DomainError("tree test of an empty graph is undefined")
     if not t.is_tree():
-        raise ValueError("input is not a tree")
+        raise DomainError("input is not a tree")
     if t.n < 2:
-        raise ValueError("classification needs order >= 2")
+        raise DomainError("classification needs order >= 2")
     t_params = _recognize_center_tree(t)
     if t_params is not None:
         return TreeClass("T_family", t_params)
@@ -283,7 +292,7 @@ def realize(a: int, b: int) -> Graph:
     """
     lo, hi = admissible_interval(a)
     if a < 1 or not (lo <= b <= hi):
-        raise ValueError(
+        raise DomainError(
             f"inadmissible pair ({a}, {b}): for a={a} the admissible"
             f" interval is [{lo}, {hi}]"
         )

@@ -149,7 +149,8 @@ def _mis_masks(adj: tuple):
     (2006)) on an explicit stack.  P and X are masks over the positions in
     the vertex order by descending degree, then index; R is in vertex bits.
     The pivot is the member of P ∪ X with most nonneighbors in P, ties to the
-    earliest position; candidates go in ascending position."""
+    earliest position; candidates go in ascending position.  Isolated
+    vertices, last in the order, are in every set: R starts with them."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     at = [0] * n  # vertex -> its position bit
@@ -158,8 +159,9 @@ def _mis_masks(adj: tuple):
     full = (1 << n) - 1
     nonadj = [full ^ at[v] ^ sum(map(at.__getitem__, adj[v])) for v in order]
     vertex = [1 << v for v in order]
+    lone = [v for v in order if not adj[v]]
     frames = []  # [r, p, x, candidates not yet branched on]
-    r, p, x = 0, full, 0
+    r, p, x = sum(1 << v for v in lone), full >> len(lone), 0
     while True:
         if p | x:
             m, best, best_c = p | x, 0, -1

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -560,6 +561,47 @@ def test_failed_output_write_is_an_input_error(argv, fail_on, capsys, monkeypatc
         "error: cannot write output: [Errno 28] No space left on device\n")
 
 
+EVERY_COMMAND = [
+    ["solve", "--input", "-"],
+    ["family", "path:5"],
+    ["classify", "--input", "-"],
+    ["realize", "2", "5"],
+    ["bounds", "--input", "-"],
+    ["fuzz", "tree", "6", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
+def test_closed_stdout_is_an_input_error(argv, capsys, monkeypatch):
+    # a process started with stdout closed has sys.stdout None
+    monkeypatch.delenv("IDRD_SIZE_LIMIT", raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize_edge_list(path_graph(5))))
+    monkeypatch.setattr("sys.stdout", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write output: standard output is closed\n"
+
+
+@pytest.mark.parametrize("fail_on", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "-h"]])
+def test_failed_help_write_is_an_input_error(argv, fail_on, capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: idrd")
+    monkeypatch.setattr("sys.stdout", _FullDevice(fail_on))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n")
+
+
+def test_usage_error_with_stdout_closed_reports_only_the_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", None)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--bogus"])
+    assert exc.value.code == 2
+    assert "cannot write output" not in capsys.readouterr().err
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.binary(max_size=120))
 @example(b"\xff 3 0\n")
@@ -582,19 +624,87 @@ def test_arbitrary_stdin_bytes_end_in_a_documented_exit_code(data):
         assert all(line.startswith("error: ") for line in lines)
 
 
+# Arbitrary argv: each command's own arguments from small or garbage tokens,
+# its options shuffled in, and sometimes a stray token.  Integers stay small:
+# `realize` on a huge a still builds a tree of order about 2a before it
+# answers (unbounded work that this test does not cover), and `fuzz` work
+# grows with max_n x trials.
+_INTS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "6", "7", "x"])
+_PATHS = st.sampled_from(["-", "-", "-", "missing.txt", ".", "tree.txt"])
+_TOKENS = st.sampled_from([
+    "bogus", "-", "--input", "--json", "--help", "-h", "--out", "--seed", "", "0", "x"])
+_ARGUMENTS = {
+    "solve": st.tuples(st.just("--input"), _PATHS),
+    "classify": st.tuples(st.just("--input"), _PATHS),
+    "bounds": st.tuples(st.just("--input"), _PATHS),
+    "family": st.tuples(
+        st.sampled_from(["path:3", "cycle:4", "kpartite:1,2", "kpartite:2,1", "coronastar:2",
+                         "complete:1", "star:x", "wheel:2", "path"]),
+        st.sampled_from(["formula", "solve", "both", "quickly"])),
+    "realize": st.one_of(st.tuples(_INTS, _INTS), st.integers(1, 6).flatmap(
+        lambda a: st.tuples(st.just(str(a)), st.integers(2 * a, 3 * a + 1).map(str)))),
+    "fuzz": st.tuples(st.sampled_from(["general", "connected", "tree", "planar"]), _INTS, _INTS),
+}
+_OPTIONS = {
+    "solve": [("--witness",), ("--invariants", "idn,order"), ("--invariants", "girth"),
+              ("--invariants", "")],
+    "realize": [("--out", "tree.txt"), ("--out", ".")],
+    "fuzz": [("--seed", "3"), ("--p-min", "0"), ("--p-max", "0.5"), ("--p-min", "x")],
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGUMENTS)))
+    options = draw(st.lists(st.sampled_from(_OPTIONS.get(command, []) + [("--json",)]),
+                            max_size=3))
+    argv = [command, *draw(_ARGUMENTS[command]), *(t for o in options for t in o)]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_TOKENS))
+    return argv
+
+
+_STDIN_TEXTS = st.sampled_from([
+    None, "", "0 0\n", "1 0\n", "x\n", "3 2\n0 1\n1 2\n", "3 1\n0 1\n",
+    "4 4\n0 1\n1 2\n2 3\n3 0\n", "7 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n",
+])
+_SIZE_LIMITS = st.one_of(
+    st.none(), st.integers(-2, 24).map(str), st.sampled_from(["abc", "", "1.5", " 7"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv(), _STDIN_TEXTS, _SIZE_LIMITS)
+def test_every_command_ends_in_a_documented_exit_code(argv, stdin_text, limit):
+    stdin = None if stdin_text is None else io.StringIO(stdin_text)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ), \
+            mock.patch.object(sys, "stdin", stdin), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.chdir(tmp)  # --out writes, and --input reads, relative to here
+        os.environ.pop("IDRD_SIZE_LIMIT", None)
+        if limit is not None:
+            os.environ["IDRD_SIZE_LIMIT"] = limit
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            assert exc.code in (0, 2)
+            return
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3, 4)
+    assert len(lines) == (code >= 2)
+    assert all(line.startswith("error: ") for line in lines)
+    assert (out.getvalue() == "") == (code >= 2)
+
+
 # ---------------------------------------------------------------------------
 # environment and module entry
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "--input", "-"],
-    ["family", "path:5"],
-    ["classify", "--input", "-"],
-    ["realize", "2", "5"],
-    ["bounds", "--input", "-"],
-    ["fuzz", "tree", "6", "5"],
-])
+@pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_non_integer_size_limit_is_an_input_error(argv, capsys, monkeypatch):
     monkeypatch.setenv("IDRD_SIZE_LIMIT", "abc")
     code, out, err = run(

@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
-from idrd import idn, idrdn, ir2dn, tree_idn, tree_idrdn
+from idrd import build_graph, idn, idrdn, ir2dn, tree_idn, tree_idrdn
 from idrd.families import (
     KINDS,
+    DomainError,
     FamilySpec,
     TreeClass,
     admissible_interval,
@@ -172,6 +173,24 @@ def test_formula_unavailable_kinds_raise():
             formula_idrdn(spec)
     with pytest.raises(ValueError, match="one-vertex complete"):
         formula_idrdn(FamilySpec("complete", (1,)))
+
+
+def test_domain_errors_are_value_errors_of_their_own_type():
+    # The CLI exits 4 on DomainError and 2 on any other ValueError.
+    assert issubclass(DomainError, ValueError)
+    for call, args in [
+        (formula_idrdn, (FamilySpec("star", (4,)),)),
+        (formula_idrdn, (FamilySpec("complete", (1,)),)),
+        (classify_tree, (cycle_graph(5),)),
+        (classify_tree, (path_graph(1),)),
+        (classify_tree, (build_graph(0, []),)),
+        (realize, (2, 4)),
+    ]:
+        with pytest.raises(DomainError):
+            call(*args)
+    with pytest.raises(ValueError) as exc:
+        parse_family_spec("wheel:5")
+    assert not isinstance(exc.value, DomainError)
 
 
 def test_formula_agrees_with_the_solver():

@@ -141,6 +141,17 @@ def test_mis_pass_handles_deep_enumerations():
     assert [entries[name] for name in names] == [1200, 1200, 2400, 1200, 1200]
 
 
+def test_isolated_vertices_join_every_set_up_front():
+    # A path 0-1-2-3-4 plus 3000 isolated vertices has the path's four sets,
+    # in the path's order; isolated vertices once cost a pivot frame each.
+    g = build_graph(3005, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    start = time.perf_counter()
+    got = list(maximal_independent_sets(g))
+    assert time.perf_counter() - start < 1.0
+    lone = frozenset(range(5, 3005))
+    assert got == [lone | s for s in ({1, 3}, {1, 4}, {0, 2, 4}, {0, 3})]
+
+
 def test_rainbow_completion_handles_deep_searches():
     # S holds one opposite pair of each 4-cycle: 1200 members, none forced,
     # so the search path is 1200 members deep.
