@@ -96,19 +96,20 @@ class BoundCheck:
 _HOLDS = {"<=": operator.le, "<": operator.lt, "=": operator.eq}
 
 
-def check_bounds(g: Graph, size_limit: int | None = None) -> list:
+def check_bounds(g: Graph) -> list:
     """Evaluate every known bound record on g (order >= 1)."""
     if g.n == 0:
         raise ValueError("bound checks need at least one vertex")
-    table = compute_invariants(g, _BOUND_INVARIANTS, size_limit=size_limit)
+    table = compute_invariants(g, _BOUND_INVARIANTS)
+    connected = g.is_connected()
     tree_reason = None
-    if not g.is_tree():
+    if not (connected and g.m == g.n - 1):
         tree_reason = "not a tree"
     elif g.n < 2:
         tree_reason = "single-vertex tree"
     skip_reasons = {
         "any": None,
-        "connected": None if g.is_connected() else "graph is disconnected",
+        "connected": None if connected else "graph is disconnected",
         "no isolated vertices": table.not_applicable.get("min_edge_cover"),
         "max degree >= 1": None if g.m else "graph has no edges",
         "tree of order >= 2": tree_reason,
@@ -160,7 +161,6 @@ def fuzz(
     trials: int,
     p_range: tuple = (0.2, 0.8),
     seed: int = 0,
-    size_limit: int | None = None,
 ) -> FuzzReport:
     """Sample `trials` graphs of the given class and check every bound.
 
@@ -175,7 +175,7 @@ def fuzz(
         raise ValueError(f"unknown graph class {graph_class!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    limit = resolve_limit(size_limit)
+    limit = resolve_limit()
     if not 1 <= max_n <= limit:
         raise ValueError(f"max_n must be in [1, {limit}] (exact-solver guard)")
     p_lo, p_hi = float(p_range[0]), float(p_range[1])
@@ -199,7 +199,7 @@ def fuzz(
                     f"no connected sample on {n} vertices at p={p:.3f} "
                     f"after {_CONNECT_ATTEMPTS} attempts"
                 )
-        for rec in check_bounds(g, size_limit):
+        for rec in check_bounds(g):
             if rec.skipped:
                 continue
             if not rec.holds:

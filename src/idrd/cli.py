@@ -10,18 +10,19 @@ human-oriented and may change.
 
 Exit codes: 0 success; 1 fuzz found violations; 2 input error (unparsable
 or undecodable edge list, unparsable spec text, unknown invariant name, bad
-flags, a fuzz p range that cannot produce a connected sample, non-integer
-IDRD_SIZE_LIMIT, `--input -` with stdin closed, an output write that fails,
-e.g. to a full device or a closed stdout, --help text included); 3
-exact-solver size limit exceeded (IDRD_SIZE_LIMIT overrides the default of
-24; `family` checks the spec's order, and `solve` and `bounds` the header's
-order, before they build the graph); 4 domain error (no closed form,
-non-tree classify, inadmissible pair).  classify and realize read the
-linear-time tree DPs, so they never exit 3; classify rejects a header with
-fewer than n - 1 edges before it builds the graph.
+flags, a fuzz p range that cannot produce a connected sample, a non-integer
+or negative IDRD_SIZE_LIMIT, `--input -` with stdin closed, an output write
+that fails, e.g. to a full device or a closed stdout, --help text
+included); 3 exact-solver size limit exceeded (IDRD_SIZE_LIMIT overrides
+the default of 24; `family` checks the spec's order, and `solve` and
+`bounds` the header's order, before they build the graph); 4 domain error
+(no closed form, non-tree classify, inadmissible pair).  classify and
+realize read the linear-time tree DPs, so they never exit 3; classify
+rejects a header with fewer than n - 1 edges before it builds the graph.
 
 The exit code follows the type of the exception a command raises
-(SizeLimitError 3, families.DomainError 4, other ValueError or OSError 2).
+(SizeLimitError 3, families.DomainError 4, other ValueError or OSError 2),
+and it stands when standard error is closed and the message is lost.
 """
 
 import argparse
@@ -72,7 +73,8 @@ _EXIT_CODES = {
 
 
 def _error(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    with contextlib.suppress(OSError):  # a closed stderr loses only the message
+        print(f"error: {message}", file=sys.stderr)
     return code
 
 
@@ -121,9 +123,9 @@ def _witness_lines(witness):
 def _cmd_solve(args) -> int:
     n, edges = _read_edges(args.input)
     which = None if args.invariants is None else args.invariants.split(",")
-    names = admit(n, which, args.size_limit)
+    names = admit(n, which)
     g = build_graph(n, edges)
-    table = compute_invariants(g, names, size_limit=args.size_limit)
+    table = compute_invariants(g, names)
     digest = _digest(serialize_edge_list(g))
     payload = {
         "invariants": table.entries,
@@ -149,8 +151,8 @@ def _cmd_family(args) -> int:
     if args.mode in ("formula", "both"):
         payload["formula"] = formula_idrdn(spec)
     if args.mode in ("solve", "both"):
-        admit(spec.order, ["idrdn"], args.size_limit)
-        payload["solver"] = idrdn(generate(spec), size_limit=args.size_limit)[0]
+        admit(spec.order, ["idrdn"])
+        payload["solver"] = idrdn(generate(spec))[0]
     if args.mode == "both":
         payload["agree"] = payload["formula"] == payload["solver"]
     digest = _digest(spec.text())
@@ -224,9 +226,9 @@ def _cmd_realize(args) -> int:
 
 def _cmd_bounds(args) -> int:
     n, edges = _read_edges(args.input)
-    admit(n, None, args.size_limit)  # check_bounds reads exponential invariants
+    admit(n)  # check_bounds reads exponential invariants
     g = build_graph(n, edges)
-    records = check_bounds(g, size_limit=args.size_limit)
+    records = check_bounds(g)
     digest = _digest(serialize_edge_list(g))
     if args.json:
         _emit_json("bounds", digest, {"bounds": [r.to_dict() for r in records]})
@@ -246,12 +248,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     report = fuzz(
-        args.graph_class,
-        args.max_n,
-        args.trials,
-        (args.p_min, args.p_max),
-        args.seed,
-        size_limit=args.size_limit,
+        args.graph_class, args.max_n, args.trials, (args.p_min, args.p_max), args.seed
     )
     digest = _digest(
         f"{args.graph_class} {args.max_n} {args.trials} {args.seed}"
@@ -292,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated invariant names (default: all)",
     )
     p_solve.add_argument("--witness", action="store_true", help="include witnesses")
-    p_solve.add_argument("--json", action="store_true", help="machine-readable output")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_family = sub.add_parser("family", help="closed-form and solver values for a family")
@@ -304,12 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("formula", "solve", "both"),
         help="what to compute (default: both)",
     )
-    p_family.add_argument("--json", action="store_true", help="machine-readable output")
     p_family.set_defaults(func=_cmd_family)
 
     p_classify = sub.add_parser("classify", help="classify a tree against the two families")
     p_classify.add_argument("--input", required=True, help="edge-list file path, or - for stdin")
-    p_classify.add_argument("--json", action="store_true", help="machine-readable output")
     p_classify.set_defaults(func=_cmd_classify)
 
     p_realize = sub.add_parser(
@@ -320,12 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
         "b", type=int, help="target independent double Roman domination number"
     )
     p_realize.add_argument("--out", help="write the edge list to this path")
-    p_realize.add_argument("--json", action="store_true", help="machine-readable output")
     p_realize.set_defaults(func=_cmd_realize)
 
     p_bounds = sub.add_parser("bounds", help="evaluate every bound record on a graph")
     p_bounds.add_argument("--input", required=True, help="edge-list file path, or - for stdin")
-    p_bounds.add_argument("--json", action="store_true", help="machine-readable output")
     p_bounds.set_defaults(func=_cmd_bounds)
 
     p_fuzz = sub.add_parser("fuzz", help="fuzz the bound records over random graphs")
@@ -339,9 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument(
         "--p-max", type=float, default=0.8, help="upper edge probability (default 0.8)"
     )
-    p_fuzz.add_argument("--json", action="store_true", help="machine-readable output")
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
+    for command in sub.choices.values():  # each command's last option
+        command.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
 
 
@@ -354,7 +347,7 @@ def main(argv=None) -> int:
     try:
         with contextlib.redirect_stdout(buffer):
             args = build_parser().parse_args(argv)
-            args.size_limit = resolve_limit()
+            resolve_limit()  # a bad IDRD_SIZE_LIMIT fails every command
             code = args.func(args)
     except SystemExit as exc:
         code = exc

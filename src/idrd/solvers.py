@@ -60,8 +60,8 @@ the square graph, by include-first branch and bound (Tarjan & Trojanowski,
 "Finding a maximum independent set", SIAM J. Comput. 6 (1977)).
 
 Exact exponential solvers refuse graphs larger than 24 vertices unless the
-IDRD_SIZE_LIMIT environment variable (or the `size_limit` argument) raises
-the bar.  Witnesses from the enumeration-based solvers break ties toward the
+IDRD_SIZE_LIMIT environment variable (a non-negative integer) raises the bar.
+Witnesses from the enumeration-based solvers break ties toward the
 lexicographically smallest positive set, and the packing witness is the
 lexicographically smallest maximum packing; the threshold witnesses are the
 deterministic first optimum found.
@@ -98,22 +98,23 @@ class SizeLimitError(RuntimeError):
     """Raised when an exact solver is asked for a graph above the size guard."""
 
 
-def resolve_limit(size_limit: int | None = None) -> int:
-    """The size guard's limit: `size_limit` when given, else IDRD_SIZE_LIMIT,
-    else DEFAULT_SIZE_LIMIT; a non-integer IDRD_SIZE_LIMIT raises ValueError."""
-    if size_limit is not None:
-        return int(size_limit)
+def resolve_limit() -> int:
+    """The size guard's limit: IDRD_SIZE_LIMIT, else DEFAULT_SIZE_LIMIT; a
+    non-integer or negative IDRD_SIZE_LIMIT raises ValueError."""
     env = os.environ.get("IDRD_SIZE_LIMIT")
     if env is None:
         return DEFAULT_SIZE_LIMIT
     try:
-        return int(env)
+        limit = int(env)
     except ValueError:
         raise ValueError(f"IDRD_SIZE_LIMIT must be an integer, got {env!r}") from None
+    if limit < 0:
+        raise ValueError(f"IDRD_SIZE_LIMIT must be non-negative, got {env!r}")
+    return limit
 
 
-def _guard(order: int, size_limit: int | None) -> None:
-    limit = resolve_limit(size_limit)
+def _guard(order: int) -> None:
+    limit = resolve_limit()
     if order > limit:
         raise SizeLimitError(
             f"graph order {order} exceeds the exact-solver limit {limit} "
@@ -299,23 +300,31 @@ def _rainbow_completion(nbr: list, s: int, forced: int, limit):
             c2[ci] -= d2
 
 
+def _sorts_before(s: int, t: int) -> int:
+    """Nonzero when the set s sorts before the set t, as sorted member
+    tuples, for sets that never nest (maximal independent sets): the lowest
+    vertex in exactly one of them is in s."""
+    d = s ^ t
+    return s & d & -d
+
+
 def _mis_pass(g: Graph, names) -> dict:
     """Optimal (weight, label per vertex) of each requested independent number.
 
     One scan of the maximal independent sets serves idn, ir2dn, idrdn and
     i2rdn alike.  Ties go to the lexicographically smallest sorted positive
-    set, built only on a tie or a gain.  The rainbow completion only looks
-    for weights that could win: at most the best rainbow weight so far when
-    S sorts before the best set, one less when S sorts after it.  It is
+    set, compared as masks by `_sorts_before`.  The rainbow completion only
+    looks for weights that could win: at most the best rainbow weight so far
+    when S sorts before the best set, one less when S sorts after it.  It is
     skipped when |S| + |forced(S)| already exceeds that limit.
     """
     weighted = [(name, *_MIS_WEIGHTS[name]) for name in _MIS_WEIGHTS if name in names]
     rainbow = "i2rdn" in names
     need_forced = rainbow or any(weak != strong for _, weak, strong in weighted)
     nbr = _neighbor_masks(g)
-    # name -> (weight, sorted positive set, low mask, high mask)
+    # name -> (weight, low mask, high mask); the positive set is low | high
     best = {
-        name: (float("inf"), (), 0, 0)
+        name: (float("inf"), 0, 0)
         for name in ("idn", "ir2dn", "i2rdn", "idrdn")
         if name in names
     }
@@ -327,26 +336,20 @@ def _mis_pass(g: Graph, names) -> dict:
             for name, weak, strong in weighted
         ]
         if rainbow:
-            limit, _, ones, twos = best["i2rdn"]
-            # Maximal independent sets never nest, so S sorts after the best
-            # set (ones | twos) exactly when their lowest difference is in it;
-            # then a tie loses, and only a lighter completion counts.
-            first = s ^ (ones | twos)
-            if (ones | twos) & first & -first:
+            limit, ones, twos = best["i2rdn"]
+            if not _sorts_before(s, ones | twos):  # a tie would lose
                 limit -= 1
             if size + strong_count <= limit:
                 completion = _rainbow_completion(nbr, s, forced, limit)
                 if completion:
                     scores.append(("i2rdn", *completion))
-        members = None
         for name, weight, low, high in scores:
-            if weight <= best[name][0]:
-                members = members or tuple(_bits(s))
-                if (weight, members) < best[name][:2]:
-                    best[name] = (weight, members, low, high)
+            least, low0, high0 = best[name]
+            if weight < least or weight == least and _sorts_before(s, low0 | high0):
+                best[name] = (weight, low, high)
     return {
         name: (weight, [_LABELS[name][(low >> v & 1) + 2 * (high >> v & 1)] for v in range(g.n)])
-        for name, (weight, _, low, high) in best.items()
+        for name, (weight, low, high) in best.items()
     }
 
 
@@ -500,46 +503,46 @@ _WITNESS = {
 _EXPONENTIAL = frozenset(_WITNESS) | {"packing"}
 
 
-def _exact(g: Graph, name: str, size_limit: int | None):
-    _guard(g.n, size_limit)
+def _exact(g: Graph, name: str):
+    _guard(g.n)
     _require_vertices(g)
     weight, vals = _solve(g, (name,))[name]
     return weight, _WITNESS[name](vals)
 
 
-def idrdn(g: Graph, size_limit: int | None = None) -> tuple[int, DRLabeling]:
+def idrdn(g: Graph) -> tuple[int, DRLabeling]:
     """Independent double Roman domination number with an optimal labeling."""
-    return _exact(g, "idrdn", size_limit)
+    return _exact(g, "idrdn")
 
 
-def idn(g: Graph, size_limit: int | None = None) -> tuple[int, frozenset]:
+def idn(g: Graph) -> tuple[int, frozenset]:
     """Independent domination number with a minimum maximal independent set."""
-    return _exact(g, "idn", size_limit)
+    return _exact(g, "idn")
 
 
-def ir2dn(g: Graph, size_limit: int | None = None) -> tuple[int, R2Labeling]:
+def ir2dn(g: Graph) -> tuple[int, R2Labeling]:
     """Independent Roman {2} domination number with an optimal labeling."""
-    return _exact(g, "ir2dn", size_limit)
+    return _exact(g, "ir2dn")
 
 
-def i2rdn(g: Graph, size_limit: int | None = None) -> tuple[int, RainbowLabeling]:
+def i2rdn(g: Graph) -> tuple[int, RainbowLabeling]:
     """Independent 2-rainbow domination number with an optimal labeling."""
-    return _exact(g, "i2rdn", size_limit)
+    return _exact(g, "i2rdn")
 
 
-def domination_number(g: Graph, size_limit: int | None = None) -> int:
+def domination_number(g: Graph) -> int:
     """Exact domination number γ(g)."""
-    return _exact(g, "gamma", size_limit)[0]
+    return _exact(g, "gamma")[0]
 
 
-def gamma_r2(g: Graph, size_limit: int | None = None) -> int:
+def gamma_r2(g: Graph) -> int:
     """Exact Roman {2} domination number γ_{R2}(g)."""
-    return _exact(g, "gamma_r2", size_limit)[0]
+    return _exact(g, "gamma_r2")[0]
 
 
-def gamma_dr(g: Graph, size_limit: int | None = None) -> int:
+def gamma_dr(g: Graph) -> int:
     """Exact double Roman domination number γ_{dR}(g)."""
-    return _exact(g, "gamma_dr", size_limit)[0]
+    return _exact(g, "gamma_dr")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +550,7 @@ def gamma_dr(g: Graph, size_limit: int | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def packing_number(g: Graph, size_limit: int | None = None) -> tuple[int, frozenset]:
+def packing_number(g: Graph) -> tuple[int, frozenset]:
     """Maximum 2-packing (pairwise disjoint closed neighborhoods) with witness.
 
     A set is a packing iff no two members are within distance 2, so this is a
@@ -560,7 +563,7 @@ def packing_number(g: Graph, size_limit: int | None = None) -> tuple[int, frozen
     in lexicographic order, and the witness is the lexicographically
     smallest maximum packing.
     """
-    _guard(g.n, size_limit)
+    _guard(g.n)
     _require_vertices(g)
     closed = [nb | (1 << v) for v, nb in enumerate(_neighbor_masks(g))]
     reach = []  # reach[v]: the vertices within distance 2 of v, v included
@@ -818,21 +821,20 @@ class InvariantTable:
     not_applicable: dict = field(default_factory=dict)
 
 
-def admit(order: int, which=None, size_limit: int | None = None) -> list:
+def admit(order: int, which=None) -> list:
     """The requested invariant names (all for None), checked before a graph
     of `order` vertices is built: unknown names raise ValueError, and an
-    exponential name on a nonempty graph above the limit raises
-    SizeLimitError.  The empty graph is left to the solvers' own errors."""
+    exponential name on a graph above the limit raises SizeLimitError."""
     names = list(INVARIANT_NAMES if which is None else which)
     for name in names:
         if name not in INVARIANT_NAMES:
             raise ValueError(f"unknown invariant {name!r}")
-    if order and _EXPONENTIAL.intersection(names):
-        _guard(order, size_limit)
+    if _EXPONENTIAL.intersection(names):
+        _guard(order)
     return names
 
 
-def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> InvariantTable:
+def compute_invariants(g: Graph, which=None) -> InvariantTable:
     """Compute the requested invariants (all known ones by default).
 
     The exact numbers share one MIS pass, and the matching and edge cover
@@ -840,7 +842,7 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
     not-applicable marker when the graph has an isolated vertex.  The names
     are checked by `admit` first.
     """
-    names = admit(g.n, which, size_limit)
+    names = admit(g.n, which)
     table = InvariantTable()
     exact = None
     for name in INVARIANT_NAMES:
@@ -854,7 +856,6 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
             table.entries[name] = g.min_degree()
         elif name in _WITNESS:
             if exact is None:
-                _guard(g.n, size_limit)
                 _require_vertices(g)
                 exact = _solve(g, [x for x in names if x in _WITNESS])
             value, vals = exact[name]
@@ -864,7 +865,7 @@ def compute_invariants(g: Graph, which=None, size_limit: int | None = None) -> I
                 tuple(sorted(witness)) if isinstance(witness, frozenset) else witness
             )
         elif name == "packing":
-            value, witness = packing_number(g, size_limit)
+            value, witness = packing_number(g)
             table.entries[name] = value
             table.witnesses[name] = tuple(sorted(witness))
         elif name == "min_edge_cover" and g.n > 0 and g.has_isolated_vertex():

@@ -270,3 +270,47 @@ def tree_certificate(n, edges):
         return "(" + "".join(subs) + ")"
 
     return min(encode(c, -1) for c in alive)
+
+
+def tree_labeling(n, edges, labels, k, independent):
+    """Least weight of a labeling of the tree (n, edges) with values in
+    `labels` in which the labels of every 0-vertex's neighbors sum to at least
+    k, and, when `independent`, no two adjacent vertices are both positive.
+
+    Dynamic programming over the tree rooted at 0 (Telle & Proskurowski, SIAM
+    J. Discrete Math. 10 (1997)): a vertex's state is its own label and what
+    its children send it, capped at k, and its children combine by a min-plus
+    step over that amount.
+    """
+    adj = adjacency(n, edges)
+    parent = {0: None}
+    order = [0]
+    for v in order:
+        for u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                order.append(u)
+    if len(order) != n or len(edges) != n - 1:
+        raise ValueError("not a tree")
+    inf = float("inf")
+    table = {}  # v -> {(label, received): least weight of v's subtree}
+    for v in reversed(order):
+        children = [table.pop(c) for c in adj[v] if c != parent[v]]
+        table[v] = {}
+        for x in labels:
+            got = [0] + [inf] * k  # received amount -> least weight of the children's subtrees
+            for child in children:
+                # least weight of the child's subtree per child label, with v labeled x
+                send = {}
+                for (y, r), w in child.items():
+                    if (y or r + x >= k) and not (independent and x and y) and w < send.get(y, inf):
+                        send[y] = w
+                step = [inf] * (k + 1)
+                for r, w in enumerate(got):
+                    for y, wc in send.items():
+                        j = min(k, r + y)
+                        step[j] = min(step[j], w + wc)
+                got = step
+            for r, w in enumerate(got):
+                table[v][x, r] = x + w
+    return min(w for (x, r), w in table[0].items() if x or r >= k)

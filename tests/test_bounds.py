@@ -156,10 +156,11 @@ def test_check_bounds_rejects_the_empty_graph():
         check_bounds(empty_graph(0))
 
 
-def test_check_bounds_respects_the_size_guard():
+def test_check_bounds_respects_the_size_guard(monkeypatch):
     with pytest.raises(SizeLimitError):
         check_bounds(path_graph(25))
-    assert len(check_bounds(path_graph(25), size_limit=30)) == 15
+    monkeypatch.setenv("IDRD_SIZE_LIMIT", "30")
+    assert len(check_bounds(path_graph(25))) == 15
 
 
 @settings(max_examples=80, deadline=None)

@@ -176,6 +176,8 @@ def test_edge_list_checks_run_before_the_graph_is_built(
 
 _EMPTY_DEGREE = "error: degree of an empty graph is undefined\n"
 _NO_VERTEX = "error: solver needs at least one vertex\n"
+_BOUNDS_EMPTY = (2, "error: bound checks need at least one vertex\n")
+_NEGATIVE = (2, "error: IDRD_SIZE_LIMIT must be non-negative, got '-1'\n")
 
 
 def _over(order, limit):
@@ -185,14 +187,15 @@ def _over(order, limit):
 
 # (command and options, stdin, (exit code, stderr) with IDRD_SIZE_LIMIT unset, -1, 0)
 @pytest.mark.parametrize("command, stdin_text, outcomes", [
-    (["solve"], "0 0\n", [(2, _EMPTY_DEGREE)] * 3),
-    (["solve"], "1 0\n", [(0, ""), _over(1, -1), _over(1, 0)]),
-    (["solve", "--invariants", "order,max_degree"], "0 0\n", [(2, _EMPTY_DEGREE)] * 3),
-    (["solve", "--invariants", "order,max_degree"], "1 0\n", [(0, "")] * 3),
-    (["solve", "--invariants", "idn"], "0 0\n", [(2, _NO_VERTEX), _over(0, -1), (2, _NO_VERTEX)]),
-    (["solve", "--invariants", "idn"], "1 0\n", [(0, ""), _over(1, -1), _over(1, 0)]),
-    (["bounds"], "0 0\n", [(2, "error: bound checks need at least one vertex\n")] * 3),
-    (["bounds"], "1 0\n", [(0, ""), _over(1, -1), _over(1, 0)]),
+    (["solve"], "0 0\n", [(2, _EMPTY_DEGREE), _NEGATIVE, (2, _EMPTY_DEGREE)]),
+    (["solve"], "1 0\n", [(0, ""), _NEGATIVE, _over(1, 0)]),
+    (["solve", "--invariants", "order,max_degree"], "0 0\n",
+     [(2, _EMPTY_DEGREE), _NEGATIVE, (2, _EMPTY_DEGREE)]),
+    (["solve", "--invariants", "order,max_degree"], "1 0\n", [(0, ""), _NEGATIVE, (0, "")]),
+    (["solve", "--invariants", "idn"], "0 0\n", [(2, _NO_VERTEX), _NEGATIVE, (2, _NO_VERTEX)]),
+    (["solve", "--invariants", "idn"], "1 0\n", [(0, ""), _NEGATIVE, _over(1, 0)]),
+    (["bounds"], "0 0\n", [_BOUNDS_EMPTY, _NEGATIVE, _BOUNDS_EMPTY]),
+    (["bounds"], "1 0\n", [(0, ""), _NEGATIVE, _over(1, 0)]),
 ])
 def test_tiny_inputs_keep_their_error_order_under_odd_limits(
         command, stdin_text, outcomes, capsys, monkeypatch):
@@ -706,11 +709,25 @@ def test_every_command_ends_in_a_documented_exit_code(argv, stdin_text, limit):
 
 @pytest.mark.parametrize("argv", EVERY_COMMAND)
 def test_non_integer_size_limit_is_an_input_error(argv, capsys, monkeypatch):
-    monkeypatch.setenv("IDRD_SIZE_LIMIT", "abc")
-    code, out, err = run(
-        argv, capsys, monkeypatch, stdin_text=serialize_edge_list(path_graph(5)))
-    assert code == 2 and out == ""
-    assert err == "error: IDRD_SIZE_LIMIT must be an integer, got 'abc'\n"
+    for limit, message in [("abc", "an integer"), ("-1", "non-negative")]:
+        monkeypatch.setenv("IDRD_SIZE_LIMIT", limit)
+        code, out, err = run(
+            argv, capsys, monkeypatch, stdin_text=serialize_edge_list(path_graph(5)))
+        assert code == 2 and out == ""
+        assert err == f"error: IDRD_SIZE_LIMIT must be {message}, got {limit!r}\n"
+
+
+class _ClosedStream(io.StringIO):
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+def test_closed_stderr_keeps_the_exit_code(monkeypatch):
+    # a process started with stderr closed still has a sys.stderr wrapper
+    monkeypatch.setattr("sys.stderr", _ClosedStream())
+    monkeypatch.setattr("sys.stdout", io.StringIO())
+    assert main(["family", "wheel:5"]) == 2
+    assert main(["family", "path:5"]) == 0
 
 
 def test_package_runs_as_a_module():

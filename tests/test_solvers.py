@@ -43,6 +43,7 @@ from idrd.solvers import (
     _neighbor_masks,
     _rainbow_completion,
     _threshold_search,
+    _tree_mis_number,
 )
 
 from conftest import (
@@ -132,11 +133,12 @@ def test_mis_witnesses_are_pinned(g, i, r2, dr, rainbow, packing):
     assert witnesses["packing"] == packing
 
 
-def test_mis_pass_handles_deep_enumerations():
+def test_mis_pass_handles_deep_enumerations(monkeypatch):
     # Each set of an edgeless graph's enumeration is one n-deep branch.
+    monkeypatch.setenv("IDRD_SIZE_LIMIT", "5000")
     names = ["idn", "ir2dn", "idrdn", "i2rdn", "packing"]
     start = time.perf_counter()
-    entries = compute_invariants(empty_graph(1200), names, size_limit=5000).entries
+    entries = compute_invariants(empty_graph(1200), names).entries
     assert time.perf_counter() - start < 5.0
     assert [entries[name] for name in names] == [1200, 1200, 2400, 1200, 1200]
 
@@ -417,11 +419,12 @@ def test_threshold_bound_alone_is_sound(name, g):
     assert all(x or sum(vals[u] for u in adj[v]) >= k for v, x in enumerate(vals))
 
 
-def test_threshold_search_handles_deep_searches():
+def test_threshold_search_handles_deep_searches(monkeypatch):
     # S(2,2) and 1500 isolated vertices: every search path is 1506 labels deep.
+    monkeypatch.setenv("IDRD_SIZE_LIMIT", "5000")
     g = build_graph(1506, double_star(2, 2).edges)
     names = ["gamma", "gamma_r2", "gamma_dr"]
-    entries = compute_invariants(g, names, size_limit=5000).entries
+    entries = compute_invariants(g, names).entries
     assert entries == {"gamma": 1502, "gamma_r2": 1504, "gamma_dr": 3006}
 
 
@@ -664,6 +667,55 @@ def test_tree_dp_rejects_non_trees_with_n_minus_one_edges():
             tree_dp(empty_graph(0))
 
 
+# name -> (labels, threshold k, independent) of the same number as a tree labeling
+_TREE_LABELINGS = {
+    "gamma": ((0, 1), 1, False),
+    "gamma_r2": ((0, 1, 2), 2, False),
+    "gamma_dr": ((0, 2, 3), 3, False),
+    "idn": ((0, 1), 1, True),
+    "ir2dn": ((0, 1, 2), 2, True),
+    "idrdn": ((0, 2, 3), 3, True),
+}
+
+
+def _tree_oracle(t, name):
+    return oracles.tree_labeling(t.n, t.edges, *_TREE_LABELINGS[name])
+
+
+def test_tree_oracle_matches_brute_force_on_small_trees():
+    # brute force allows the value 1 in both double Roman numbers, so it also
+    # checks the reduction to labels {0, 2, 3} that the oracle shares with the solvers
+    brute = {
+        "gamma": oracles.brute_gamma,
+        "gamma_r2": oracles.brute_gamma_r2,
+        "gamma_dr": oracles.brute_gamma_dr,
+        "idn": oracles.brute_idn,
+        "ir2dn": oracles.brute_ir2dn,
+        "idrdn": oracles.brute_idrdn,
+    }
+    for n in range(1, 9):
+        t = random_tree(n, 7 * n)
+        assert {name: _tree_oracle(t, name) for name in brute} == \
+            {name: f(t.n, t.edges) for name, f in brute.items()}
+
+
+def test_exact_solvers_match_the_tree_oracle():
+    for seed in range(40):
+        t = random_tree(1 + seed % 20, seed)
+        entries = compute_invariants(t, list(_TREE_LABELINGS)).entries
+        assert entries == {name: _tree_oracle(t, name) for name in _TREE_LABELINGS}, seed
+
+
+def test_tree_dps_match_the_tree_oracle_at_scale():
+    t = random_tree(5000, 11)
+    for name, tree_dp in (("idn", tree_idn), ("ir2dn", tree_ir2dn), ("idrdn", tree_idrdn)):
+        assert tree_dp(t) == _tree_oracle(t, name)
+    # other weightings with strong <= 2 * weak: one strong or two positive neighbors
+    for weak, strong in ((2, 4), (3, 4)):
+        assert _tree_mis_number(t, weak, strong) == \
+            oracles.tree_labeling(t.n, t.edges, (0, weak, strong), strong, True)
+
+
 # ---------------------------------------------------------------------------
 # size guard
 # ---------------------------------------------------------------------------
@@ -687,13 +739,6 @@ def test_guard_respects_the_environment_override(monkeypatch):
     monkeypatch.setenv("IDRD_SIZE_LIMIT", "10")
     with pytest.raises(SizeLimitError, match="limit 10"):
         idn(path_graph(12))
-
-
-def test_guard_respects_the_argument_override():
-    big = path_graph(25)
-    assert idrdn(big, size_limit=30)[0] == 26
-    with pytest.raises(SizeLimitError, match="limit 5"):
-        idn(path_graph(7), size_limit=5)
 
 
 def test_polynomial_solvers_are_not_guarded():
