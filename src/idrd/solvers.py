@@ -53,7 +53,14 @@ in N[v].  A label x at u lowers each of the 1 + deg(u) deficits in N[u] by
 at most x, and each of those vertices has c(v) >= 1 + deg(u), so the sum
 drops by at most x.  The sum is kept exactly, as an integer, and updated as
 labels are set.  The corresponding independent number provides the starting
-incumbent.  The search, too, runs on an explicit stack.
+incumbent.  The search, too, runs on an explicit stack.  Its plan (the BFS
+order and the scaled c(v)) is built once per graph for all three searches.
+
+The γ_dR search gets the floor γ_dR >= γ_R2 + γ when the same call computed
+γ and γ_R2.  Take a minimum double Roman dominating function with no 1s, V2
+and V3 its 2- and 3-vertices.  Labeling V2 with 1 and V3 with 2 is Roman {2}
+dominating, and V2 ∪ V3 dominates, so γ_dR = (|V2| + 2|V3|) + |V2 ∪ V3| >=
+γ_R2 + γ.  A floor only ends a search early, so it changes no witness.
 
 The packing number is a third, separate search: a maximum independent set of
 the square graph, by include-first branch and bound (Tarjan & Trojanowski,
@@ -357,50 +364,56 @@ def _mis_pass(g: Graph, names) -> dict:
 # plain domination numbers: one threshold branch and bound
 # ---------------------------------------------------------------------------
 
-# name -> (labels in branching order, threshold k, independent number whose
-# optimum is the starting incumbent)
+# name -> (labels in branching order, threshold k, independent number whose optimum
+# is the starting incumbent, plain numbers whose sum is a floor), in search order.
 _THRESHOLD = {
-    "gamma": ((0, 1), 1, "idn"),
-    "gamma_r2": ((0, 2, 1), 2, "ir2dn"),
-    "gamma_dr": ((0, 3, 2), 3, "idrdn"),
+    "gamma": ((0, 1), 1, "idn", ()),
+    "gamma_r2": ((0, 2, 1), 2, "ir2dn", ()),
+    "gamma_dr": ((0, 3, 2), 3, "idrdn", ("gamma", "gamma_r2")),
 }
 
 
-def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple[int, list]:
+def _search_plan(g: Graph) -> tuple:
+    """What the threshold searches on g share, built once per `_solve` call:
+    (neighbor tuples, BFS order from the max-degree vertex of each component,
+    close_list[i] = the vertices whose closed neighborhood is labeled once
+    order[i] is, unit[v] = scale / c(v), scale = the lcm of the c(v))."""
+    n = g.n
+    adj = g.adj
+    order = bfs(g, sorted(range(n), key=lambda v: (-len(adj[v]), v)))[1]
+    pos = {v: i for i, v in enumerate(order)}
+    close_list = [()] * n
+    for u in range(n):
+        close_list[max(pos[w] for w in (u, *adj[u]))] += (u,)
+    cap = [1 + max(len(adj[u]) for u in (v, *adj[v])) for v in range(n)]
+    scale = math.lcm(*set(cap))
+    return adj, order, close_list, [scale // c for c in cap], scale
+
+
+def _threshold_search(plan: tuple, labels: tuple, k: int, incumbent: list,
+                      floor: int) -> tuple[int, list]:
     """Minimum-weight labeling with values in `labels` in which the labels of
     every 0-vertex's neighbors sum to at least k, as (weight, label per vertex).
 
-    Vertices are labeled in BFS order from the max-degree vertex of each
-    component, trying `labels` in the given order; a vertex is checked as soon
-    as its closed neighborhood is labeled.  Each vertex v not yet defended owes
-    a deficit -- k minus what it receives for a 0-vertex, the smaller of that
-    and the least positive label for an unlabeled one -- and the lower bound on
-    the weight still to place is the sum of deficit(v) / c(v), with c(v) = 1 +
-    the largest degree in N[v] (the fractional domination bound of van Rooij &
-    Bodlaender, "Exact algorithms for dominating set", Discrete Appl. Math. 159
-    (2011)).  It is sound: a label x at u lowers each deficit in N[u] by at most
-    x, and each of those 1 + deg(u) vertices has c(v) >= 1 + deg(u), so the sum
-    drops by at most x.  The sum is kept as an integer scaled by the lcm of the
-    c(v) and updated in O(deg v) per label.  `incumbent` is a valid labeling;
-    the search only looks for strictly lighter ones.  It runs on an explicit
-    stack, so a search of any depth fits.
+    Vertices are labeled in the BFS order of `plan` (the graph's
+    `_search_plan`), trying `labels` in the given order; a vertex is checked
+    as soon as its closed neighborhood is labeled.  Each vertex v not yet
+    defended owes a deficit -- k minus what it receives for a 0-vertex, the
+    smaller of that and the least positive label for an unlabeled one -- and
+    the fractional bound of the module docstring, the sum of deficit(v) /
+    c(v), is kept as an integer scaled by the lcm of the c(v) and updated in
+    O(deg v) per label.  `incumbent` is a valid labeling; the search only
+    looks for strictly lighter ones.  `floor` is a proven lower bound on the
+    optimum: the incumbent is returned at once when it weighs at most that,
+    and the search stops at the first leaf that reaches it.  No lighter leaf
+    exists then, so a floor only ends a search early and never changes its
+    result.  The search runs on an explicit stack, so any depth fits.
     """
-    n = g.n
     best_w, best_vals = sum(incumbent), list(incumbent)
-    adj = g.adj
-    order = bfs(g, sorted(range(n), key=lambda v: (-len(adj[v]), v)))[1]
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    close_list = [()] * n
-    for u in range(n):
-        cp = pos[u]
-        for w in adj[u]:
-            cp = max(cp, pos[w])
-        close_list[cp] += (u,)
-    cap = [1 + max(len(adj[u]) for u in (v, *adj[v])) for v in range(n)]
-    scale = math.lcm(*set(cap))
-    unit = [scale // c for c in cap]
+    if best_w <= floor:
+        return best_w, best_vals
+    adj, order, close_list, unit, scale = plan
+    n = len(order)
     least = min(x for x in labels if x)
     # deficit of a vertex that receives r, unlabeled or labeled 0 (0 from r = k on)
     pad = [0] * max(labels)
@@ -443,6 +456,8 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
                         break  # descend with val in place
                     # a full labeling; passing the bound made it lighter
                     best_w, best_vals = w2, vals.copy()
+                    if best_w <= floor:
+                        return best_w, best_vals
             if val:
                 for u in adj[v]:
                     received[u] -= val
@@ -474,13 +489,16 @@ def _threshold_search(g: Graph, labels: tuple, k: int, incumbent: list) -> tuple
 
 def _solve(g: Graph, names) -> dict:
     """(weight, label per vertex) of each requested exact number: one MIS pass
-    for the independent numbers and the incumbents, then one threshold
-    search per plain number."""
-    plain = [name for name in names if name in _THRESHOLD]
+    for the independent numbers and the incumbents, then one search plan and,
+    in `_THRESHOLD` order, one threshold search per plain number.  A search's
+    floor is the sum of its terms when this call computed them all, else 0."""
+    plain = [name for name in _THRESHOLD if name in names]
     found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain})
+    plan = _search_plan(g) if plain else None
     for name in plain:
-        labels, k, start = _THRESHOLD[name]
-        found[name] = _threshold_search(g, labels, k, found[start][1])
+        labels, k, start, terms = _THRESHOLD[name]
+        floor = sum(found[t][0] for t in terms) if all(t in found for t in terms) else 0
+        found[name] = _threshold_search(plan, labels, k, found[start][1], floor)
     return found
 
 
@@ -564,6 +582,11 @@ def packing_number(g: Graph) -> tuple[int, frozenset]:
     smallest maximum packing.
     """
     _guard(g.n)
+    return _packing(g)
+
+
+def _packing(g: Graph) -> tuple[int, frozenset]:
+    """`packing_number` without the size guard, for callers that checked it."""
     _require_vertices(g)
     closed = [nb | (1 << v) for v, nb in enumerate(_neighbor_masks(g))]
     reach = []  # reach[v]: the vertices within distance 2 of v, v included
@@ -865,7 +888,7 @@ def compute_invariants(g: Graph, which=None) -> InvariantTable:
                 tuple(sorted(witness)) if isinstance(witness, frozenset) else witness
             )
         elif name == "packing":
-            value, witness = packing_number(g)
+            value, witness = _packing(g)
             table.entries[name] = value
             table.witnesses[name] = tuple(sorted(witness))
         elif name == "min_edge_cover" and g.n > 0 and g.has_isolated_vertex():

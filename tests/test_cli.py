@@ -210,6 +210,25 @@ def test_tiny_inputs_keep_their_error_order_under_odd_limits(
         assert (out != "") == (code == 0), env
 
 
+@pytest.mark.parametrize("argv, stdin_text, reads", [
+    (["solve", "--input", "-", "--witness"], serialize_edge_list(cycle_graph(5)), 3),
+    (["bounds", "--input", "-"], serialize_edge_list(cycle_graph(5)), 3),
+    (["fuzz", "general", "8", "20"], None, 22),
+], ids=["solve", "bounds", "fuzz"])
+def test_the_size_limit_is_read_once_per_check(argv, stdin_text, reads, capsys, monkeypatch):
+    # main, the command's own check, and once per compute_invariants call
+    real, calls = idrd.solvers.resolve_limit, []
+
+    def counted():
+        calls.append(None)
+        return real()
+
+    for module in ("cli", "bounds", "solvers"):
+        monkeypatch.setattr(f"idrd.{module}.resolve_limit", counted)
+    assert run(argv, capsys, monkeypatch, stdin_text=stdin_text)[0] == 0
+    assert len(calls) == reads
+
+
 def test_parser_survives_an_argparse_error(capsys, monkeypatch):
     text = serialize_edge_list(cycle_graph(5))
     argv = ["solve", "--input", "-", "--witness", "--json"]

@@ -42,6 +42,8 @@ from idrd.solvers import (
     _matching_partners,
     _neighbor_masks,
     _rainbow_completion,
+    _search_plan,
+    _solve,
     _threshold_search,
     _tree_mis_number,
 )
@@ -411,8 +413,8 @@ _BRUTE_THRESHOLD = {
 def test_threshold_bound_alone_is_sound(name, g):
     # Every vertex on the largest label is valid but far from optimal, so the
     # lower bound, not the incumbent, does the pruning.
-    labels, k, _ = _THRESHOLD[name]
-    value, vals = _threshold_search(g, labels, k, [max(labels)] * g.n)
+    labels, k = _THRESHOLD[name][:2]
+    value, vals = _threshold_search(_search_plan(g), labels, k, [max(labels)] * g.n, 0)
     assert value == _BRUTE_THRESHOLD[name](g.n, g.edges)
     assert sum(vals) == value
     adj = oracles.adjacency(g.n, g.edges)
@@ -426,6 +428,42 @@ def test_threshold_search_handles_deep_searches(monkeypatch):
     names = ["gamma", "gamma_r2", "gamma_dr"]
     entries = compute_invariants(g, names).entries
     assert entries == {"gamma": 1502, "gamma_r2": 1504, "gamma_dr": 3006}
+    # there the floor 1502 + 1504 ends the γ_dR search at once; with none it
+    # runs 1506 labels deep from an incumbent of 3 on every vertex
+    labels, k = _THRESHOLD["gamma_dr"][:2]
+    value, vals = _threshold_search(_search_plan(g), labels, k, [3] * g.n, 0)
+    assert value == 3006 and sum(vals) == 3006
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_n=7))
+def test_gamma_dr_is_at_least_gamma_r2_plus_gamma(g):
+    # the floor of the γ_dR search (Beeler, Haynes & Hedetniemi 2016)
+    n, edges = g.n, g.edges
+    assert oracles.brute_gamma_dr(n, edges) >= (
+        oracles.brute_gamma_r2(n, edges) + oracles.brute_gamma(n, edges))
+
+
+def test_floors_do_not_change_the_threshold_searches():
+    names = ["gamma", "gamma_r2", "gamma_dr"]
+    for seed in range(60):
+        g = random_graph(6 + seed % 9, (0.1, 0.2, 0.35)[seed // 9 % 3], seed)
+        found, plan = _solve(g, names), _search_plan(g)
+        for name in names:
+            labels, k, start, _ = _THRESHOLD[name]
+            unfloored = _threshold_search(plan, labels, k, found[start][1], 0)
+            assert found[name] == unfloored, (seed, name)
+
+
+def test_request_order_does_not_change_the_plain_numbers():
+    for seed in range(20):
+        g = random_graph(10, 0.2, seed)
+        natural = compute_invariants(g, ["gamma", "gamma_r2", "gamma_dr"])
+        reversed_ = compute_invariants(g, ["gamma_dr", "gamma", "gamma_r2"])
+        assert natural.entries == reversed_.entries, seed
+        assert natural.witnesses == reversed_.witnesses, seed
+        alone = compute_invariants(g, ["gamma_dr"]).witnesses["gamma_dr"]
+        assert alone == natural.witnesses["gamma_dr"], seed
 
 
 def test_plain_numbers_at_order_24_are_fast():
