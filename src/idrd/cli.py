@@ -123,9 +123,9 @@ def _witness_lines(witness):
 def _cmd_solve(args) -> int:
     n, edges = _read_edges(args.input)
     which = None if args.invariants is None else args.invariants.split(",")
-    names = admit(n, which)
+    admit(n, which)  # before the graph is built
     g = build_graph(n, edges)
-    table = compute_invariants(g, names)
+    table = compute_invariants(g, which)
     digest = _digest(serialize_edge_list(g))
     payload = {
         "invariants": table.entries,

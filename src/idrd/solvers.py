@@ -31,36 +31,48 @@ neighbor tuples `Graph.adj` and runs on an explicit stack, not Python's
 recursion.  A rainbow completion that could at best tie with a set earlier in
 lexicographic order is not searched: the tie would lose.
 
-One threshold branch and bound
-------------------------------
-The plain (non-independent) numbers γ, γ_{R2}, γ_{dR} have no such
-decomposition.  Each is a threshold labeling problem: labels from a set L,
-and every 0-vertex needs the labels of its neighbors to sum to at least k,
+Three stages per threshold number
+---------------------------------
+The plain numbers γ, γ_{R2}, γ_{dR} have no such decomposition.  Each is a
+threshold labeling problem: labels from L, and the labels of every 0-vertex's
+neighbors sum to at least k, with (L, k) = ({0, 1}, 1) for γ, ({0, 1, 2}, 2)
+for γ_R2 and ({0, 2, 3}, 3) for γ_dR.  The last rests on Beeler, Haynes &
+Hedetniemi, "Double Roman domination", Discrete Appl. Math. 211 (2016): some
+minimum double Roman dominating function has no 1, and with labels in {2, 3}
+"a 3-neighbor or two 2-neighbors" is "neighbor sum >= 3".  A vertex is
+defended when positive or receiving at least k.  Each stage ends the work
+once the incumbent, the independent optimum, is proven optimal:
 
-    γ:      L = {0, 1},     k = 1
-    γ_R2:   L = {0, 1, 2},  k = 2
-    γ_dR:   L = {0, 2, 3},  k = 3
+1. A floor: γ_dR >= γ_R2 + γ when the call computed both.  Take a minimum
+   double Roman dominating function with no 1s, V2 and V3 its 2- and
+   3-vertices.  V2 → 1, V3 → 2 is Roman {2} dominating and V2 ∪ V3
+   dominates, so γ_dR = (|V2| + 2|V3|) + |V2 ∪ V3| >= γ_R2 + γ.
+2. The exact value, by `_threshold_value` on bitmasks.  It branches as
+   Fomin, Grandoni & Kratsch ("A measure and conquer approach for the
+   analysis of exact algorithms", J. ACM 56 (2009)) on the undefended v with
+   the fewest undecided u_1 < ... < u_m in N[v]: branch (i, x) labels u_i
+   with x > 0 and fixes u_1..u_{i-1} at 0.  Only labels in N[v] defend v, so
+   every completion makes some u_i positive and lies in the branch of the
+   first one and its label: the branches partition the completions.  The
+   bound (van Rooij & Bodlaender, "Exact algorithms for dominating set",
+   Discrete Appl. Math. 159 (2011)) sums (k − r(v)) / c'(v) over the
+   undefended v, r(v) what v receives, c'(v) = k/least + the largest degree
+   in N[v], least the least positive label.  A label x at u lowers u's term
+   by at most k/c'(u) <= (k/least)·x/c'(u) and each neighbor w's by at most
+   x/c'(w) <= x/(k/least + deg u), so the sum, 0 on a valid labeling, drops
+   by at most x: the labels to come weigh at least its ceiling.  It is an
+   integer, scaled by the lcm of the c'(v).  Dominance: a vertex with no
+   undefended neighbor takes only the least label, since a larger one
+   defends nothing more.
+3. The witness, by `_threshold_search` with the value as floor, only when
+   the value beats the incumbent.  It labels vertices in BFS order under the
+   bound's per-vertex form, deficit / c(v) with c(v) = 1 + the largest
+   degree in N[v] (a label x lowers each deficit in N[u] by at most x).
 
-For γ_dR this rests on Beeler, Haynes & Hedetniemi, "Double Roman
-domination", Discrete Appl. Math. 211 (2016): some minimum double Roman
-dominating function assigns no vertex the value 1, and with labels in {2, 3}
-"a 3-neighbor or two 2-neighbors" is exactly "neighbor sum >= 3".
-`_threshold_search` assigns labels vertex by vertex in BFS order, pruned by
-the per-vertex fractional domination bound (van Rooij & Bodlaender, "Exact
-algorithms for dominating set", Discrete Appl. Math. 159 (2011)): each vertex
-not yet defended adds its deficit divided by c(v) = 1 + the largest degree
-in N[v].  A label x at u lowers each of the 1 + deg(u) deficits in N[u] by
-at most x, and each of those vertices has c(v) >= 1 + deg(u), so the sum
-drops by at most x.  The sum is kept exactly, as an integer, and updated as
-labels are set.  The corresponding independent number provides the starting
-incumbent.  The search, too, runs on an explicit stack.  Its plan (the BFS
-order and the scaled c(v)) is built once per graph for all three searches.
-
-The γ_dR search gets the floor γ_dR >= γ_R2 + γ when the same call computed
-γ and γ_R2.  Take a minimum double Roman dominating function with no 1s, V2
-and V3 its 2- and 3-vertices.  Labeling V2 with 1 and V3 with 2 is Roman {2}
-dominating, and V2 ∪ V3 dominates, so γ_dR = (|V2| + 2|V3|) + |V2 ∪ V3| >=
-γ_R2 + γ.  A floor only ends a search early, so it changes no witness.
+The witness is the search's own: an optimal incumbent, kept by stages 1-2,
+else the first leaf in depth-first order that weighs the optimum, as the
+best is replaced only by strictly lighter leaves and no prune skips a leaf
+of optimal weight.  A floor at the optimum stops the search at that leaf.
 
 The packing number is a third, separate search: a maximum independent set of
 the square graph, by include-first branch and bound (Tarjan & Trojanowski,
@@ -147,7 +159,7 @@ def _bits(mask: int):
 
 
 def _neighbor_masks(g: Graph) -> list:
-    return [g.neighbor_mask(v) for v in range(g.n)]
+    return [sum(1 << u for u in nb) for nb in g.adj]
 
 
 def _mis_masks(adj: tuple):
@@ -315,11 +327,11 @@ def _sorts_before(s: int, t: int) -> int:
     return s & d & -d
 
 
-def _mis_pass(g: Graph, names) -> dict:
+def _mis_pass(g: Graph, names, nbr: list) -> dict:
     """Optimal (weight, label per vertex) of each requested independent number.
 
     One scan of the maximal independent sets serves idn, ir2dn, idrdn and
-    i2rdn alike.  Ties go to the lexicographically smallest sorted positive
+    i2rdn alike, with `nbr` the graph's `_neighbor_masks`.  Ties go to the lexicographically smallest sorted positive
     set, compared as masks by `_sorts_before`.  The rainbow completion only
     looks for weights that could win: at most the best rainbow weight so far
     when S sorts before the best set, one less when S sorts after it.  It is
@@ -328,7 +340,6 @@ def _mis_pass(g: Graph, names) -> dict:
     weighted = [(name, *_MIS_WEIGHTS[name]) for name in _MIS_WEIGHTS if name in names]
     rainbow = "i2rdn" in names
     need_forced = rainbow or any(weak != strong for _, weak, strong in weighted)
-    nbr = _neighbor_masks(g)
     # name -> (weight, low mask, high mask); the positive set is low | high
     best = {
         name: (float("inf"), 0, 0)
@@ -374,10 +385,10 @@ _THRESHOLD = {
 
 
 def _search_plan(g: Graph) -> tuple:
-    """What the threshold searches on g share, built once per `_solve` call:
-    (neighbor tuples, BFS order from the max-degree vertex of each component,
-    close_list[i] = the vertices whose closed neighborhood is labeled once
-    order[i] is, unit[v] = scale / c(v), scale = the lcm of the c(v))."""
+    """What the witness searches on g share, built at most once per `_solve`
+    call: (neighbor tuples, BFS order from the max-degree vertex of each
+    component, close_list[i] = the vertices whose closed neighborhood is
+    labeled once order[i] is, unit[v] = scale / c(v), scale = lcm c(v))."""
     n = g.n
     adj = g.adj
     order = bfs(g, sorted(range(n), key=lambda v: (-len(adj[v]), v)))[1]
@@ -403,11 +414,9 @@ def _threshold_search(plan: tuple, labels: tuple, k: int, incumbent: list,
     the fractional bound of the module docstring, the sum of deficit(v) /
     c(v), is kept as an integer scaled by the lcm of the c(v) and updated in
     O(deg v) per label.  `incumbent` is a valid labeling; the search only
-    looks for strictly lighter ones.  `floor` is a proven lower bound on the
-    optimum: the incumbent is returned at once when it weighs at most that,
-    and the search stops at the first leaf that reaches it.  No lighter leaf
-    exists then, so a floor only ends a search early and never changes its
-    result.  The search runs on an explicit stack, so any depth fits.
+    looks for strictly lighter ones.  `floor` is a proven lower bound: the
+    search ends at the first labeling that weighs at most that, which changes
+    no result (module docstring).  It runs on an explicit stack.
     """
     best_w, best_vals = sum(incumbent), list(incumbent)
     if best_w <= floor:
@@ -482,6 +491,72 @@ def _threshold_search(plan: tuple, labels: tuple, k: int, incumbent: list,
         r = received[v]
 
 
+def _threshold_value(nbr: list, labels: tuple, k: int, best: int, floor: int) -> int:
+    """The least weight below `best` of a labeling as in `_threshold_search`
+    (else `best`), or the first weight found at or below the proven lower
+    bound `floor`, by the value search of the module docstring over the
+    `_neighbor_masks` `nbr`.  What the vertices receive is one int of k
+    fields of n bits, field j holding those that receive more than j: a label
+    updates all fields in one shift, and the deficits are the bits of the
+    undefended vertices, copied to every field, minus the received fields."""
+    if best <= floor:
+        return best
+    positive = [x for x in labels if x]
+    least = min(positive)
+    n = len(nbr)
+    full = (1 << n) - 1
+    ones = sum(1 << j * n for j in range(k))  # mask * ones: mask in every field
+    closed = [nb | 1 << v for v, nb in enumerate(nbr)]
+    reach = {}  # d -> the vertices v with a vertex of degree d in N[v]
+    for nb, c in zip(nbr, closed):
+        reach[nb.bit_count()] = reach.get(nb.bit_count(), 0) | c
+    groups, left = [], full  # (vertices, least·c'(v)) by the largest degree in N[v]
+    for d in sorted(reach, reverse=True):
+        groups.append((reach[d] & left, k + least * d))
+        left &= ~reach[d]
+    scale = math.lcm(*(c for _, c in groups))
+    groups = [(mask * ones, least * scale // c) for mask, c in groups if mask]
+    spread = [nb * ones for nb in nbr]
+    low = [(1 << x * n) - 1 for x in range(max(positive) + 1)]
+    top = (k - 1) * n
+    stack = [(0, 0, 0, 0)]  # (weight, positive vertices, 0 vertices, received)
+    while stack:
+        w, pos, zero, recv = stack.pop()
+        undefended = full & ~(pos | recv >> top)
+        owing = undefended * ones & ~recv
+        owed = 0
+        for mask, unit in groups:
+            owed += unit * (owing & mask).bit_count()
+        if w + -(-owed // scale) >= best:
+            continue
+        if not undefended:
+            best = w
+            if best <= floor:
+                return best
+            continue
+        undecided = full & ~(pos | zero)
+        fewest, m = n + 1, undefended
+        while m:
+            b = m & -m
+            c = closed[b.bit_length() - 1] & undecided
+            if c.bit_count() < fewest:
+                fewest, cand = c.bit_count(), c
+                if fewest <= 1:
+                    break
+            m ^= b
+        children = []  # candidate i positive, candidates before it 0
+        while cand:
+            b = cand & -cand
+            u = b.bit_length() - 1
+            for x in positive if nbr[u] & undefended else (least,):
+                recv2 = recv | (recv << x * n | low[x]) & spread[u]
+                children.append((w + x, pos | b, zero, recv2))
+            zero |= b
+            cand ^= b
+        stack += reversed(children)
+    return best
+
+
 # ---------------------------------------------------------------------------
 # public exact solvers
 # ---------------------------------------------------------------------------
@@ -489,16 +564,21 @@ def _threshold_search(plan: tuple, labels: tuple, k: int, incumbent: list,
 
 def _solve(g: Graph, names) -> dict:
     """(weight, label per vertex) of each requested exact number: one MIS pass
-    for the independent numbers and the incumbents, then one search plan and,
-    in `_THRESHOLD` order, one threshold search per plain number.  A search's
+    for the independent numbers and the incumbents, then in `_THRESHOLD`
+    order the three stages of the module docstring per plain number.  The
     floor is the sum of its terms when this call computed them all, else 0."""
     plain = [name for name in _THRESHOLD if name in names]
-    found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain})
-    plan = _search_plan(g) if plain else None
+    nbr = _neighbor_masks(g)
+    found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain}, nbr)
+    plan = None
     for name in plain:
         labels, k, start, terms = _THRESHOLD[name]
         floor = sum(found[t][0] for t in terms) if all(t in found for t in terms) else 0
-        found[name] = _threshold_search(plan, labels, k, found[start][1], floor)
+        weight, incumbent = found[name] = found[start]
+        value = _threshold_value(nbr, labels, k, weight, floor)
+        if value < weight:
+            plan = plan or _search_plan(g)
+            found[name] = _threshold_search(plan, labels, k, incumbent, value)
     return found
 
 

@@ -45,6 +45,7 @@ from idrd.solvers import (
     _search_plan,
     _solve,
     _threshold_search,
+    _threshold_value,
     _tree_mis_number,
 )
 
@@ -433,6 +434,55 @@ def test_threshold_search_handles_deep_searches(monkeypatch):
     labels, k = _THRESHOLD["gamma_dr"][:2]
     value, vals = _threshold_search(_search_plan(g), labels, k, [3] * g.n, 0)
     assert value == 3006 and sum(vals) == 3006
+
+
+@pytest.mark.parametrize("name", sorted(_THRESHOLD))
+@settings(max_examples=40, deadline=None)
+@given(g=graphs(max_n=8))
+def test_threshold_value_matches_brute_force(name, g):
+    # started just above the all-max labeling, so the search finds every weight itself
+    labels, k = _THRESHOLD[name][:2]
+    value = _threshold_value(_neighbor_masks(g), labels, k, max(labels) * g.n + 1, 0)
+    assert value == _BRUTE_THRESHOLD[name](g.n, g.edges)
+
+
+def test_threshold_value_matches_the_witness_search():
+    for seed in range(90):
+        g = random_graph(6 + seed % 11, (0.1, 0.2, 0.35)[seed // 11 % 3], seed)
+        found, plan, nbr = _solve(g, ["idn", "ir2dn", "idrdn"]), _search_plan(g), _neighbor_masks(g)
+        for name, (labels, k, start, _) in _THRESHOLD.items():
+            weight, incumbent = found[start]
+            expected = _threshold_search(plan, labels, k, incumbent, 0)[0]
+            assert _threshold_value(nbr, labels, k, weight, 0) == expected, (seed, name)
+            # from one above the optimum it finds the optimum; from the optimum it proves it
+            assert _threshold_value(nbr, labels, k, expected + 1, 0) == expected, (seed, name)
+            assert _threshold_value(nbr, labels, k, expected, 0) == expected, (seed, name)
+
+
+def test_threshold_value_handles_deep_searches():
+    # S(2,2) and 1500 isolated vertices, as in the witness search test above
+    g = build_graph(1506, double_star(2, 2).edges)
+    nbr = _neighbor_masks(g)
+    for name, value in (("gamma", 1502), ("gamma_r2", 1504), ("gamma_dr", 3006)):
+        labels, k = _THRESHOLD[name][:2]
+        assert _threshold_value(nbr, labels, k, max(labels) * g.n + 1, 0) == value, name
+        assert _threshold_value(nbr, labels, k, value, 0) == value, name
+
+
+def test_disjoint_double_stars_are_fast(monkeypatch):
+    # five copies of S(2,2): their MIS incumbents lose for γ (15 against 10) and
+    # γ_dR (35 against 30), so the witness search runs; the pins are what the
+    # witness search alone returns
+    monkeypatch.setenv("IDRD_SIZE_LIMIT", "30")
+    copy = double_star(2, 2).edges
+    g = build_graph(30, [(u + 6 * c, v + 6 * c) for c in range(5) for u, v in copy])
+    start = time.perf_counter()
+    table = compute_invariants(g, ["gamma", "gamma_r2", "gamma_dr"])
+    assert time.perf_counter() - start < 20.0
+    assert table.entries == {"gamma": 10, "gamma_r2": 20, "gamma_dr": 30}
+    assert table.witnesses["gamma"] == tuple(v + 6 * c for c in range(5) for v in (0, 1))
+    assert table.witnesses["gamma_r2"] == R2Labeling([2, 0, 0, 0, 1, 1] * 5)
+    assert table.witnesses["gamma_dr"] == DRLabeling([3, 3, 0, 0, 0, 0] * 5)
 
 
 @settings(max_examples=60, deadline=None)
