@@ -62,14 +62,6 @@ class Graph:
         self._check_vertex(v)
         return self.adj[v]
 
-    def neighbor_mask(self, v: int) -> int:
-        """Neighbors of v as a bitmask, built on each call (O(n) bits)."""
-        self._check_vertex(v)
-        mask = 0
-        for u in self.adj[v]:
-            mask |= 1 << u
-        return mask
-
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return len(self.adj[v])

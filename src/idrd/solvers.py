@@ -47,32 +47,38 @@ once the incumbent, the independent optimum, is proven optimal:
    double Roman dominating function with no 1s, V2 and V3 its 2- and
    3-vertices.  V2 → 1, V3 → 2 is Roman {2} dominating and V2 ∪ V3
    dominates, so γ_dR = (|V2| + 2|V3|) + |V2 ∪ V3| >= γ_R2 + γ.
-2. The exact value, by `_threshold_value` on bitmasks.  It branches as
-   Fomin, Grandoni & Kratsch ("A measure and conquer approach for the
-   analysis of exact algorithms", J. ACM 56 (2009)) on the undefended v with
-   the fewest undecided u_1 < ... < u_m in N[v]: branch (i, x) labels u_i
-   with x > 0 and fixes u_1..u_{i-1} at 0.  Only labels in N[v] defend v, so
-   every completion makes some u_i positive and lies in the branch of the
-   first one and its label: the branches partition the completions.  The
-   bound (van Rooij & Bodlaender, "Exact algorithms for dominating set",
-   Discrete Appl. Math. 159 (2011)) sums (k − r(v)) / c'(v) over the
-   undefended v, r(v) what v receives, c'(v) = k/least + the largest degree
-   in N[v], least the least positive label.  A label x at u lowers u's term
-   by at most k/c'(u) <= (k/least)·x/c'(u) and each neighbor w's by at most
+2. The exact value, by `_threshold` on bitmasks.  It branches as Fomin,
+   Grandoni & Kratsch ("A measure and conquer approach for the analysis of
+   exact algorithms", J. ACM 56 (2009)) on the undefended v with the fewest
+   undecided u_1 < ... < u_m in N[v]: branch (i, x) labels u_i with x > 0
+   and fixes u_1..u_{i-1} at 0.  Only labels in N[v] defend v, so every
+   completion makes some u_i positive and lies in the branch of the first
+   one and its label: the branches partition the completions.  The bound
+   (van Rooij & Bodlaender, "Exact algorithms for dominating set", Discrete
+   Appl. Math. 159 (2011)) sums (k − r(v)) / c'(v) over the undefended v,
+   r(v) what v receives, c'(v) = k/least + the largest degree in N[v], least
+   the least positive label.  A label x at u lowers u's term by at most
+   k/c'(u) <= (k/least)·x/c'(u) and each neighbor w's by at most
    x/c'(w) <= x/(k/least + deg u), so the sum, 0 on a valid labeling, drops
    by at most x: the labels to come weigh at least its ceiling.  It is an
    integer, scaled by the lcm of the c'(v).  Dominance: a vertex with no
    undefended neighbor takes only the least label, since a larger one
-   defends nothing more.
-3. The witness, by `_threshold_search` with the value as floor, only when
-   the value beats the incumbent.  It labels vertices in BFS order under the
-   bound's per-vertex form, deficit / c(v) with c(v) = 1 + the largest
-   degree in N[v] (a label x lowers each deficit in N[u] by at most x).
+   defends nothing more.  A node with no undefended vertex is a leaf: the
+   undecided vertices take 0.
+3. The witness, only when the value beats the incumbent: the same search
+   from value + 1 with the value as floor, but its children label the next
+   vertex of a BFS order (from the max-degree vertex of each component) with
+   each label in `_THRESHOLD` order, under the same dominance rule, and a
+   node is cut once an undefended vertex has its closed neighborhood
+   decided.
 
-The witness is the search's own: an optimal incumbent, kept by stages 1-2,
-else the first leaf in depth-first order that weighs the optimum, as the
-best is replaced only by strictly lighter leaves and no prune skips a leaf
-of optimal weight.  A floor at the optimum stops the search at that leaf.
+The witness is that of a search in this order that replaces its best only by
+strictly lighter labelings: an optimal incumbent, kept by stages 1-2, else
+the first labeling in depth-first order that weighs the optimum.  Stage 3
+meets that labeling first: no prune cuts a labeling of optimal weight, the
+dominance rule drops only labelings heavier than another valid one, and
+every label tuple starts with 0, so the first labeling under a leaf is its
+all-0 completion.  The floor stops the search there.
 
 The packing number is a third, separate search: a maximum independent set of
 the square graph, by include-first branch and bound (Tarjan & Trojanowski,
@@ -384,123 +390,28 @@ _THRESHOLD = {
 }
 
 
-def _search_plan(g: Graph) -> tuple:
-    """What the witness searches on g share, built at most once per `_solve`
-    call: (neighbor tuples, BFS order from the max-degree vertex of each
-    component, close_list[i] = the vertices whose closed neighborhood is
-    labeled once order[i] is, unit[v] = scale / c(v), scale = lcm c(v))."""
-    n = g.n
-    adj = g.adj
-    order = bfs(g, sorted(range(n), key=lambda v: (-len(adj[v]), v)))[1]
-    pos = {v: i for i, v in enumerate(order)}
-    close_list = [()] * n
-    for u in range(n):
-        close_list[max(pos[w] for w in (u, *adj[u]))] += (u,)
-    cap = [1 + max(len(adj[u]) for u in (v, *adj[v])) for v in range(n)]
-    scale = math.lcm(*set(cap))
-    return adj, order, close_list, [scale // c for c in cap], scale
+def _bfs_order(g: Graph) -> list:
+    """The order of the witness search: BFS from the max-degree vertex of
+    each component, ties to the least index."""
+    return bfs(g, sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v)))[1]
 
 
-def _threshold_search(plan: tuple, labels: tuple, k: int, incumbent: list,
-                      floor: int) -> tuple[int, list]:
-    """Minimum-weight labeling with values in `labels` in which the labels of
-    every 0-vertex's neighbors sum to at least k, as (weight, label per vertex).
-
-    Vertices are labeled in the BFS order of `plan` (the graph's
-    `_search_plan`), trying `labels` in the given order; a vertex is checked
-    as soon as its closed neighborhood is labeled.  Each vertex v not yet
-    defended owes a deficit -- k minus what it receives for a 0-vertex, the
-    smaller of that and the least positive label for an unlabeled one -- and
-    the fractional bound of the module docstring, the sum of deficit(v) /
-    c(v), is kept as an integer scaled by the lcm of the c(v) and updated in
-    O(deg v) per label.  `incumbent` is a valid labeling; the search only
-    looks for strictly lighter ones.  `floor` is a proven lower bound: the
-    search ends at the first labeling that weighs at most that, which changes
-    no result (module docstring).  It runs on an explicit stack.
-    """
-    best_w, best_vals = sum(incumbent), list(incumbent)
-    if best_w <= floor:
-        return best_w, best_vals
-    adj, order, close_list, unit, scale = plan
-    n = len(order)
-    least = min(x for x in labels if x)
-    # deficit of a vertex that receives r, unlabeled or labeled 0 (0 from r = k on)
-    pad = [0] * max(labels)
-    open_deficit = [min(least, k - r) for r in range(k)] + pad
-    zero_deficit = [k - r for r in range(k)] + pad
-    vals = [-1] * n
-    received = [0] * n
-    # Depth i labels order[i].  The depths above i keep one frame each on an
-    # explicit stack (weight and owed sum on reaching the depth, what its
-    # vertex receives, the index of its next label); depth i's are locals.
-    stack = []
-    i, w, owed, t = 0, 0, sum(open_deficit[0] * x for x in unit), 0
-    v = order[0]
-    r = received[v]
-    nl = len(labels)
-    while True:
-        while t < nl:
-            val = labels[t]
-            t += 1
-            w2 = w + val
-            if w2 >= best_w:
-                continue
-            vals[v] = val
-            owed2 = owed
-            if r < k:
-                owed2 -= (open_deficit[r] - (0 if val else zero_deficit[r])) * unit[v]
-            if val:
-                for u in adj[v]:
-                    ru = received[u]
-                    if ru < k and vals[u] <= 0:
-                        d = zero_deficit if vals[u] == 0 else open_deficit
-                        owed2 -= (d[ru] - d[ru + val]) * unit[u]
-                    received[u] = ru + val
-            for u in close_list[i]:
-                if not vals[u] and received[u] < k:
-                    break
-            else:
-                if w2 + -(-owed2 // scale) < best_w:
-                    if i + 1 < n:
-                        break  # descend with val in place
-                    # a full labeling; passing the bound made it lighter
-                    best_w, best_vals = w2, vals.copy()
-                    if best_w <= floor:
-                        return best_w, best_vals
-            if val:
-                for u in adj[v]:
-                    received[u] -= val
-            vals[v] = -1
-        else:
-            if not stack:
-                return best_w, best_vals
-            # back to the depth above: take back the label it holds
-            i -= 1
-            v = order[i]
-            val = vals[v]
-            if val:
-                for u in adj[v]:
-                    received[u] -= val
-            vals[v] = -1
-            w, owed, r, t = stack.pop()
-            continue
-        stack.append((w, owed, r, t))
-        i += 1
-        w, owed, t = w2, owed2, 0
-        v = order[i]
-        r = received[v]
-
-
-def _threshold_value(nbr: list, labels: tuple, k: int, best: int, floor: int) -> int:
-    """The least weight below `best` of a labeling as in `_threshold_search`
-    (else `best`), or the first weight found at or below the proven lower
-    bound `floor`, by the value search of the module docstring over the
-    `_neighbor_masks` `nbr`.  What the vertices receive is one int of k
-    fields of n bits, field j holding those that receive more than j: a label
-    updates all fields in one shift, and the deficits are the bits of the
-    undefended vertices, copied to every field, minus the received fields."""
+def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
+               order=None) -> tuple:
+    """(least weight below `best`, label per vertex) of a labeling with
+    values in `labels` in which the labels of every 0-vertex's neighbors sum
+    to at least k, over the `_neighbor_masks` `nbr`; (`best`, None) if there
+    is none.  The search ends at the first labeling that weighs at most the
+    proven lower bound `floor`.  Children come from the fewest-candidates
+    rule of the module docstring, or with a vertex `order` from labeling the
+    next vertex of `order` with each of `labels` in turn, cut once an
+    undefended vertex has its closed neighborhood decided.  What the vertices
+    receive is one int of k fields of n bits, field j holding those that
+    receive more than j: a label updates all fields in one shift, and the
+    deficits are the bits of the undefended vertices, copied to every field,
+    minus the received fields.  Labels are kept 2 bits per vertex."""
     if best <= floor:
-        return best
+        return best, None
     positive = [x for x in labels if x]
     least = min(positive)
     n = len(nbr)
@@ -519,9 +430,18 @@ def _threshold_value(nbr: list, labels: tuple, k: int, best: int, floor: int) ->
     spread = [nb * ones for nb in nbr]
     low = [(1 << x * n) - 1 for x in range(max(positive) + 1)]
     top = (k - 1) * n
-    stack = [(0, 0, 0, 0)]  # (weight, positive vertices, 0 vertices, received)
+    if order is not None:
+        backward = positive[::-1]
+        # settled[i]: the vertices whose closed neighborhood is in order[:i]
+        settled, at = [0] * (n + 1), {v: i for i, v in enumerate(order)}
+        for v, c in enumerate(closed):
+            settled[1 + max(at[u] for u in _bits(c))] |= 1 << v
+        for i in range(n):
+            settled[i + 1] |= settled[i]
+    found = None
+    stack = [(0, 0, 0, 0, 0)]  # (weight, positive vertices, 0 vertices, received, labels)
     while stack:
-        w, pos, zero, recv = stack.pop()
+        w, pos, zero, recv, lab = stack.pop()
         undefended = full & ~(pos | recv >> top)
         owing = undefended * ones & ~recv
         owed = 0
@@ -530,11 +450,26 @@ def _threshold_value(nbr: list, labels: tuple, k: int, best: int, floor: int) ->
         if w + -(-owed // scale) >= best:
             continue
         if not undefended:
-            best = w
+            best, found = w, lab
             if best <= floor:
-                return best
+                break
             continue
         undecided = full & ~(pos | zero)
+        if order is not None:
+            # order[i] at 0 keeps the bound and the undefended vertices, so
+            # that branch is walked here: order[i], order[i + 1], ... go to 0
+            # until an undefended vertex is settled, and the positive
+            # branches on the way are stacked so that they pop depth-first
+            i = n - undecided.bit_count()
+            while not undefended & settled[i]:
+                u = order[i]
+                b = 1 << u
+                for x in backward if nbr[u] & undefended else (least,):
+                    recv2 = recv | (recv << x * n | low[x]) & spread[u]
+                    stack.append((w + x, pos | b, zero, recv2, lab | x << 2 * u))
+                zero |= b
+                i += 1
+            continue
         fewest, m = n + 1, undefended
         while m:
             b = m & -m
@@ -550,11 +485,11 @@ def _threshold_value(nbr: list, labels: tuple, k: int, best: int, floor: int) ->
             u = b.bit_length() - 1
             for x in positive if nbr[u] & undefended else (least,):
                 recv2 = recv | (recv << x * n | low[x]) & spread[u]
-                children.append((w + x, pos | b, zero, recv2))
+                children.append((w + x, pos | b, zero, recv2, lab | x << 2 * u))
             zero |= b
             cand ^= b
         stack += reversed(children)
-    return best
+    return best, None if found is None else [found >> 2 * v & 3 for v in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,15 +505,15 @@ def _solve(g: Graph, names) -> dict:
     plain = [name for name in _THRESHOLD if name in names]
     nbr = _neighbor_masks(g)
     found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain}, nbr)
-    plan = None
+    order = None
     for name in plain:
         labels, k, start, terms = _THRESHOLD[name]
         floor = sum(found[t][0] for t in terms) if all(t in found for t in terms) else 0
         weight, incumbent = found[name] = found[start]
-        value = _threshold_value(nbr, labels, k, weight, floor)
+        value = _threshold(nbr, labels, k, weight, floor)[0]
         if value < weight:
-            plan = plan or _search_plan(g)
-            found[name] = _threshold_search(plan, labels, k, incumbent, value)
+            order = order or _bfs_order(g)
+            found[name] = _threshold(nbr, labels, k, value + 1, value, order)
     return found
 
 

@@ -314,3 +314,21 @@ def tree_labeling(n, edges, labels, k, independent):
             for r, w in enumerate(got):
                 table[v][x, r] = x + w
     return min(w for (x, r), w in table[0].items() if x or r >= k)
+
+
+def first_threshold_labeling(n, edges, labels, k, order):
+    """(weight, label per vertex) of the first labeling of least weight in
+    which the labels of every 0-vertex's neighbors sum to at least k, first
+    in the enumeration that gives order[0], order[1], ... each value of
+    `labels` in turn (the last vertex changing fastest)."""
+    adj = adjacency(n, edges)
+    best = None
+    for choice in product(labels, repeat=n):
+        vals = [0] * n
+        for v, x in zip(order, choice):
+            vals[v] = x
+        if best is not None and sum(vals) >= best[0]:
+            continue
+        if all(x or sum(vals[u] for u in adj[v]) >= k for v, x in enumerate(vals)):
+            best = (sum(vals), vals)
+    return best

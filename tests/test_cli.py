@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -764,3 +765,33 @@ def test_package_runs_as_a_module():
     assert envelope["command"] == "solve"
     assert envelope["input_digest"] == sha(text)
     assert envelope["payload"]["invariants"]["idrdn"] == 8
+
+
+def _golden_solve_inputs():
+    """About 600 edge lists from a seeded `random.Random`: G(n, p) with n <= 12,
+    a few sparse ones with n 14-18, and random trees."""
+    rng = random.Random("solve-witness-json")
+    shapes = [(rng.randint(1, 12), rng.choice((0.1, 0.2, 0.3, 0.5))) for _ in range(540)]
+    shapes += [(rng.randint(14, 18), rng.choice((0.1, 0.15))) for _ in range(20)]
+    texts = []
+    for n, p in shapes:
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        texts.append(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    for _ in range(40):
+        n = rng.randint(2, 16)
+        label = list(range(n))
+        rng.shuffle(label)
+        edges = [(label[rng.randrange(v)], label[v]) for v in range(1, n)]
+        texts.append(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+    return texts
+
+
+def test_solve_witness_json_is_pinned(capsys, monkeypatch):
+    # every value and witness of `solve --witness --json`, byte for byte
+    monkeypatch.delenv("IDRD_SIZE_LIMIT", raising=False)
+    digest = hashlib.sha256()
+    for text in _golden_solve_inputs():
+        code, out, _ = run(["solve", "--input", "-", "--witness", "--json"], capsys,
+                           monkeypatch, text)
+        digest.update(f"{code}\n{out}".encode("utf-8"))
+    assert digest.hexdigest() == "7c70fc02381173617e692d006b83c2e4c94e0580b7d24b9080a6a6070b3c27af"

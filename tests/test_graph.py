@@ -68,7 +68,6 @@ def test_neighbors_degrees_and_masks():
     assert g.degree(1) == 2
     assert g.max_degree() == 2
     assert g.min_degree() == 1
-    assert g.neighbor_mask(2) == (1 << 1) | (1 << 3)
     with pytest.raises(ValueError, match="out of range"):
         g.adjacency(4)
 

@@ -39,13 +39,12 @@ from idrd import (
 )
 from idrd.solvers import (
     _THRESHOLD,
+    _bfs_order,
     _matching_partners,
     _neighbor_masks,
     _rainbow_completion,
-    _search_plan,
     _solve,
-    _threshold_search,
-    _threshold_value,
+    _threshold,
     _tree_mis_number,
 )
 
@@ -415,7 +414,7 @@ def test_threshold_bound_alone_is_sound(name, g):
     # Every vertex on the largest label is valid but far from optimal, so the
     # lower bound, not the incumbent, does the pruning.
     labels, k = _THRESHOLD[name][:2]
-    value, vals = _threshold_search(_search_plan(g), labels, k, [max(labels)] * g.n, 0)
+    value, vals = _threshold(_neighbor_masks(g), labels, k, max(labels) * g.n + 1, 0, _bfs_order(g))
     assert value == _BRUTE_THRESHOLD[name](g.n, g.edges)
     assert sum(vals) == value
     adj = oracles.adjacency(g.n, g.edges)
@@ -430,9 +429,9 @@ def test_threshold_search_handles_deep_searches(monkeypatch):
     entries = compute_invariants(g, names).entries
     assert entries == {"gamma": 1502, "gamma_r2": 1504, "gamma_dr": 3006}
     # there the floor 1502 + 1504 ends the γ_dR search at once; with none it
-    # runs 1506 labels deep from an incumbent of 3 on every vertex
+    # runs 1506 labels deep from above an incumbent of 3 on every vertex
     labels, k = _THRESHOLD["gamma_dr"][:2]
-    value, vals = _threshold_search(_search_plan(g), labels, k, [3] * g.n, 0)
+    value, vals = _threshold(_neighbor_masks(g), labels, k, 3 * g.n + 1, 0, _bfs_order(g))
     assert value == 3006 and sum(vals) == 3006
 
 
@@ -442,31 +441,52 @@ def test_threshold_search_handles_deep_searches(monkeypatch):
 def test_threshold_value_matches_brute_force(name, g):
     # started just above the all-max labeling, so the search finds every weight itself
     labels, k = _THRESHOLD[name][:2]
-    value = _threshold_value(_neighbor_masks(g), labels, k, max(labels) * g.n + 1, 0)
+    value = _threshold(_neighbor_masks(g), labels, k, max(labels) * g.n + 1, 0)[0]
     assert value == _BRUTE_THRESHOLD[name](g.n, g.edges)
 
 
 def test_threshold_value_matches_the_witness_search():
     for seed in range(90):
         g = random_graph(6 + seed % 11, (0.1, 0.2, 0.35)[seed // 11 % 3], seed)
-        found, plan, nbr = _solve(g, ["idn", "ir2dn", "idrdn"]), _search_plan(g), _neighbor_masks(g)
+        found, order, nbr = _solve(g, ["idn", "ir2dn", "idrdn"]), _bfs_order(g), _neighbor_masks(g)
         for name, (labels, k, start, _) in _THRESHOLD.items():
-            weight, incumbent = found[start]
-            expected = _threshold_search(plan, labels, k, incumbent, 0)[0]
-            assert _threshold_value(nbr, labels, k, weight, 0) == expected, (seed, name)
+            weight = found[start][0]
+            expected = _threshold(nbr, labels, k, weight, 0, order)[0]
+            assert _threshold(nbr, labels, k, weight, 0)[0] == expected, (seed, name)
             # from one above the optimum it finds the optimum; from the optimum it proves it
-            assert _threshold_value(nbr, labels, k, expected + 1, 0) == expected, (seed, name)
-            assert _threshold_value(nbr, labels, k, expected, 0) == expected, (seed, name)
+            for mode in (None, order):
+                assert _threshold(nbr, labels, k, expected + 1, 0, mode)[0] == expected, (seed, name)
+                assert _threshold(nbr, labels, k, expected, 0, mode) == (expected, None), (seed, name)
 
 
 def test_threshold_value_handles_deep_searches():
     # S(2,2) and 1500 isolated vertices, as in the witness search test above
     g = build_graph(1506, double_star(2, 2).edges)
-    nbr = _neighbor_masks(g)
+    nbr, order = _neighbor_masks(g), _bfs_order(g)
     for name, value in (("gamma", 1502), ("gamma_r2", 1504), ("gamma_dr", 3006)):
         labels, k = _THRESHOLD[name][:2]
-        assert _threshold_value(nbr, labels, k, max(labels) * g.n + 1, 0) == value, name
-        assert _threshold_value(nbr, labels, k, value, 0) == value, name
+        for mode in (None, order):
+            assert _threshold(nbr, labels, k, max(labels) * g.n + 1, 0, mode)[0] == value, name
+            assert _threshold(nbr, labels, k, value, 0, mode)[0] == value, name
+
+
+def test_threshold_labels_start_with_zero():
+    # so the first leaf under a node with nothing undefended is its all-0 completion
+    assert all(labels[0] == 0 for labels, *_ in _THRESHOLD.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_n=7))
+def test_plain_witnesses_are_the_first_optimal_labelings(g):
+    # the incumbent if it is optimal, else the first optimum in the order of
+    # the witness search: BFS order, each vertex taking its labels in turn
+    names = ["gamma", "gamma_r2", "gamma_dr"]
+    found, order = _solve(g, names), _bfs_order(g)
+    for name in names:
+        labels, k, start, _ = _THRESHOLD[name]
+        first = oracles.first_threshold_labeling(g.n, g.edges, labels, k, order)
+        expected = found[start] if found[start][0] == first[0] else first
+        assert found[name] == expected, name
 
 
 def test_disjoint_double_stars_are_fast(monkeypatch):
@@ -495,14 +515,17 @@ def test_gamma_dr_is_at_least_gamma_r2_plus_gamma(g):
 
 
 def test_floors_do_not_change_the_threshold_searches():
+    # the witness of `_solve` (from the value + 1, ended at the value) is what
+    # the search finds from the incumbent with no floor
     names = ["gamma", "gamma_r2", "gamma_dr"]
     for seed in range(60):
         g = random_graph(6 + seed % 9, (0.1, 0.2, 0.35)[seed // 9 % 3], seed)
-        found, plan = _solve(g, names), _search_plan(g)
+        found, order, nbr = _solve(g, names), _bfs_order(g), _neighbor_masks(g)
         for name in names:
             labels, k, start, _ = _THRESHOLD[name]
-            unfloored = _threshold_search(plan, labels, k, found[start][1], 0)
-            assert found[name] == unfloored, (seed, name)
+            weight, incumbent = found[start]
+            value, vals = _threshold(nbr, labels, k, weight, 0, order)
+            assert found[name] == (value, vals or incumbent), (seed, name)
 
 
 def test_request_order_does_not_change_the_plain_numbers():
