@@ -33,7 +33,6 @@ from .solvers import (
     SizeLimitError,
     compute_invariants,
     domination_number,
-    forced_threes,
     gamma_dr,
     gamma_r2,
     i2rdn,

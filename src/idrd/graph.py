@@ -62,10 +62,6 @@ class Graph:
         self._check_vertex(v)
         return self.adj[v]
 
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adj[v])
-
     def max_degree(self) -> int:
         if self.n == 0:
             raise ValueError("degree of an empty graph is undefined")

@@ -21,15 +21,16 @@ with (weak, strong) = (1, 1) for i, (1, 2) for i_R2 and (2, 3) for i_dR, and
 the global optimum is the minimum over all maximal independent sets.  The
 rainbow variant also pins {1,2} on forced(S), but outside vertices with
 several S-neighbors additionally need both colors present, so the remaining
-members are labeled by a small exact backtracking over {1},{2},{1,2}.
-No vertex of S ever takes the value 1 in an optimal independent double Roman
-labeling: a 1-vertex would need a neighbor labeled >= 2, contradicting
-independence of the positive set.  `_mis_pass` enumerates the sets once and
-computes forced(S) once per set for every requested number.  Every set is an
-int bitmask over the vertices.  The enumeration builds its masks from the
-neighbor tuples `Graph.adj` and runs on an explicit stack, not Python's
-recursion.  A rainbow completion that could at best tie with a set earlier in
-lexicographic order is not searched: the tie would lose.
+members are labeled in ascending order by a small exact backtracking over
+{1},{2},{1,2} that checks a vertex's both-colors constraint when its highest
+S-neighbor is labeled.  No vertex of S ever takes the value 1 in an optimal
+independent double Roman labeling: a 1-vertex would need a neighbor labeled
+>= 2, contradicting independence of the positive set.  `_mis_pass`
+enumerates the sets once and computes forced(S) once per set for every
+requested number.  Every set is an int bitmask over the vertices.  Both
+searches pop tuples from an explicit stack, not Python's recursion, as
+`_threshold` and `_packing` do.  A rainbow completion that could at best tie
+with a set earlier in lexicographic order is not searched: the tie would lose.
 
 Three stages per threshold number
 ---------------------------------
@@ -172,11 +173,14 @@ def _mis_masks(adj: tuple):
     """Yield each maximal independent set of the graph with neighbor tuples
     `adj` (a `Graph.adj`) once, as a vertex bitmask: pivoting Bron–Kerbosch
     on the complement (Tomita, Tanaka & Takahashi, Theor. Comput. Sci. 363
-    (2006)) on an explicit stack.  P and X are masks over the positions in
-    the vertex order by descending degree, then index; R is in vertex bits.
-    The pivot is the member of P ∪ X with most nonneighbors in P, ties to the
-    earliest position; candidates go in ascending position.  Isolated
-    vertices, last in the order, are in every set: R starts with them."""
+    (2006)) on a stack of (R, P, X) tuples.  P and X are masks over the
+    positions in the vertex order by descending degree, then index; R is in
+    vertex bits.  The pivot is the member of P ∪ X with most nonneighbors in
+    P, ties to the earliest position.  Each candidate gets one child, built
+    with the candidates before it moved from P to X; the children are pushed
+    from the last candidate down, so they pop in ascending position.
+    Isolated vertices, last in the order, are in every set: R starts with
+    them."""
     n = len(adj)
     order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
     at = [0] * n  # vertex -> its position bit
@@ -186,32 +190,24 @@ def _mis_masks(adj: tuple):
     nonadj = [full ^ at[v] ^ sum(map(at.__getitem__, adj[v])) for v in order]
     vertex = [1 << v for v in order]
     lone = [v for v in order if not adj[v]]
-    frames = []  # [r, p, x, candidates not yet branched on]
-    r, p, x = sum(1 << v for v in lone), full >> len(lone), 0
-    while True:
-        if p | x:
-            m, best, best_c = p | x, 0, -1
-            while m:
-                b = m & -m
-                c = (p & nonadj[b.bit_length() - 1]).bit_count()
-                if c > best_c:
-                    best_c, best = c, b
-                m ^= b
-            frames.append([r, p, x, p & ~nonadj[best.bit_length() - 1]])
-        else:
+    stack = [(sum(1 << v for v in lone), full >> len(lone), 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
             yield r
-        while frames:
-            frame = frames[-1]
-            r, p, x, cand = frame
-            if cand:
-                b = cand & -cand
-                i = b.bit_length() - 1
-                frame[1], frame[2], frame[3] = p ^ b, x | b, cand ^ b
-                r, p, x = r | vertex[i], p & nonadj[i], x & nonadj[i]
-                break
-            frames.pop()
-        else:
-            return
+            continue
+        m, best, best_c = p | x, 0, -1
+        while m:
+            b = m & -m
+            c = (p & nonadj[b.bit_length() - 1]).bit_count()
+            if c > best_c:
+                best_c, best = c, b
+            m ^= b
+        cand = p & ~nonadj[best.bit_length() - 1]
+        while cand:  # the last candidate first; cand keeps those before it
+            i = cand.bit_length() - 1
+            cand ^= 1 << i
+            stack.append((r | vertex[i], p & ~cand & nonadj[i], (x | cand) & nonadj[i]))
 
 
 def maximal_independent_sets(g: Graph):
@@ -233,18 +229,6 @@ def _forced_mask(nbr: list, s: int) -> int:
     return forced
 
 
-def forced_threes(g: Graph, s) -> frozenset:
-    """Vertices of the maximal independent set s pinned to the strong label.
-
-    Raises ValueError when s is not a maximal independent set (equivalently:
-    independent and dominating).
-    """
-    s = frozenset(s)
-    if not (g.is_independent(s) and g.is_dominating(s)):
-        raise ValueError("s is not a maximal independent set")
-    return frozenset(_bits(_forced_mask(_neighbor_masks(g), sum(1 << v for v in s))))
-
-
 # ---------------------------------------------------------------------------
 # independent variants: one pass over the maximal independent sets
 # ---------------------------------------------------------------------------
@@ -264,65 +248,43 @@ _LABELS["i2rdn"] = (frozenset(), frozenset((1,)), frozenset((2,)), frozenset((1,
 def _rainbow_completion(nbr: list, s: int, forced: int, limit):
     """Cheapest 2-rainbow labels on the maximal independent set s.
 
-    Forced members take {1,2}; the rest are assigned by exact backtracking,
-    on an explicit stack, over {1},{2},{1,2}, members in ascending order,
-    against the both-colors-visible constraints of the outside vertices.
-    Returns (weight, ones, twos) with the members carrying color 1 and color
-    2 as bitmasks, or None when no completion weighs at most `limit`.
+    Forced members take {1,2}; the rest are assigned by exact backtracking
+    over {1},{2},{1,2}, members in ascending order, against the
+    both-colors-visible constraints of the outside vertices.  A stack holds
+    (members labeled, weight, ones, twos) tuples, the children pushed in
+    reverse `_RAINBOW_CHOICES` order.  Each constraint is filed under its
+    highest member and checked by two `&` tests when that member is labeled,
+    so nothing is undone on backtrack.  A node heavier than `limit` is cut
+    when popped, and a leaf lowers `limit` below its weight, so the first
+    strict minimum in this order is kept.  Returns (weight, ones, twos) with
+    the members carrying color 1 and color 2 as bitmasks, or None when no
+    completion weighs at most `limit`.
     """
-    base = s.bit_count() + forced.bit_count()
-    constraints = {}  # distinct masks in first-appearance order
-    relevant = 0
-    for nb in nbr:
-        y = nb & s
-        # y is 0 at members; an outside vertex with a forced neighbor sees both colors
-        if y and not y & forced:
-            constraints[y] = None
-            relevant |= y
-    if not constraints:
-        return base, s, forced
-    # (member, indices of the constraints it is in) in ascending member order
-    members = [
-        (u, [ci for ci, c in enumerate(constraints) if c >> u & 1]) for u in _bits(relevant)
-    ]
-    rem = [c.bit_count() for c in constraints]
-    c1, c2 = [0] * len(constraints), [0] * len(constraints)
+    checks, relevant = {}, 0  # highest member -> the constraints filed under it
+    for c in {nb & s for nb in nbr}:
+        # c is 0 at members; an outside vertex with a forced neighbor sees both colors
+        if c and not c & forced:
+            checks.setdefault(c.bit_length() - 1, []).append(c)
+            relevant |= c
+    members = [(u, checks.get(u, ())) for u in _bits(relevant)]
     found = None
-    # one frame per member on the path: [extra weight, ones, twos, choices tried]
-    frames = [[0, s & ~relevant, forced, 0]]
-    while True:
-        extra, ones, twos, tried = frame = frames[-1]
-        if len(frames) > len(members):
-            if found is None or base + extra < found[0]:
-                found = (base + extra, ones, twos)
-            frames.pop()
-        elif tried == len(_RAINBOW_CHOICES):
-            frames.pop()
-            if not frames:
-                return found
-        else:
-            frame[3] = tried + 1
-            d1, d2 = _RAINBOW_CHOICES[tried]
-            ex2 = extra + d1 + d2 - 1
-            if base + ex2 > limit or found is not None and base + ex2 >= found[0]:
-                continue
-            u, cis = members[len(frames) - 1]
-            ok = True
-            for ci in cis:
-                rem[ci] -= 1
-                c1[ci] += d1
-                c2[ci] += d2
-                if rem[ci] == 0 and (c1[ci] == 0 or c2[ci] == 0):
-                    ok = False
-            if ok:
-                frames.append([ex2, ones | (d1 << u), twos | (d2 << u), 0])
-                continue
-        # take back the choice the top frame tried last
-        d1, d2 = _RAINBOW_CHOICES[frames[-1][3] - 1]
-        for ci in members[len(frames) - 1][1]:
-            rem[ci] += 1
-            c1[ci] -= d1
-            c2[ci] -= d2
+    stack = [(0, s.bit_count() + forced.bit_count(), s & ~relevant, forced)]
+    while stack:
+        i, weight, ones, twos = stack.pop()
+        if weight > limit:
+            continue
+        if i == len(members):
+            found, limit = (weight, ones, twos), weight - 1
+            continue
+        u, cs = members[i]
+        for d1, d2 in reversed(_RAINBOW_CHOICES):
+            o, t = ones | d1 << u, twos | d2 << u
+            for c in cs:
+                if not (c & o and c & t):
+                    break
+            else:
+                stack.append((i + 1, weight + d1 + d2 - 1, o, t))
+    return found
 
 
 def _sorts_before(s: int, t: int) -> int:

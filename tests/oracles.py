@@ -112,6 +112,24 @@ def brute_i2rdn(n, edges):
     return best
 
 
+def first_rainbow_completion(n, edges, s):
+    """(weight, label per vertex) of the first 2-rainbow labeling of least
+    weight whose positive set is the maximal independent set s, first in the
+    enumeration that gives the members of s, in ascending order, each of {1},
+    {2}, {1,2} in turn (the last member changing fastest)."""
+    adj = adjacency(n, edges)
+    members = sorted(s)
+    best = None
+    for choice in product(_RAINBOW_SETS[1:], repeat=len(members)):
+        sets = [frozenset()] * n
+        for v, c in zip(members, choice):
+            sets[v] = c
+        weight = sum(len(c) for c in choice)
+        if (best is None or weight < best[0]) and rainbow_valid(adj, sets):
+            best = (weight, sets)
+    return best
+
+
 def _dominating(adj, n, mask):
     for v in range(n):
         if (mask >> v) & 1:

@@ -113,13 +113,13 @@ def test_generate_golden_edge_lists():
 
 def test_generate_structural_properties():
     g = generate(FamilySpec("subdivided_star", (9, 3)))
-    assert g.n == 9 and g.is_tree() and g.degree(0) == 9 - 1 - 3
+    assert g.n == 9 and g.is_tree() and len(g.adjacency(0)) == 9 - 1 - 3
     g = generate(FamilySpec("subdivided_double_star", (2, 4)))
     assert g.n == 2 * (2 + 4) + 3 and g.is_tree()
     g = generate(FamilySpec("corona_of_star", (3,)))
     assert g.n == 8 and g.is_tree()
-    assert all(g.degree(v) >= 2 for v in range(4))
-    assert all(g.degree(v) == 1 for v in range(4, 8))
+    assert all(len(g.adjacency(v)) >= 2 for v in range(4))
+    assert all(len(g.adjacency(v)) == 1 for v in range(4, 8))
     g = generate(FamilySpec("complete_multipartite", (2, 2, 5)))
     assert g.n == 9 and g.m == 2 * 2 + 2 * 5 + 2 * 5
 

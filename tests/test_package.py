@@ -13,7 +13,7 @@ PUBLIC_NAMES = {
     "DEFAULT_SIZE_LIMIT", "DRLabeling", "EdgeListParseError", "Graph", "INVARIANT_NAMES",
     "InvariantTable", "R2Labeling", "RainbowLabeling", "SizeLimitError", "SplitMix64",
     "ValidationResult", "build_graph", "compute_invariants", "domination_number",
-    "forced_threes", "gamma_dr", "gamma_r2", "i2rdn", "idn", "idrdn", "ir2dn", "is_2rdf",
+    "gamma_dr", "gamma_r2", "i2rdn", "idn", "idrdn", "ir2dn", "is_2rdf",
     "is_drdf", "is_i2rdf", "is_idrdf", "is_ir2df", "is_r2df", "max_matching",
     "maximal_independent_sets", "min_edge_cover", "packing_number", "parse_edge_list",
     "prufer_decode", "random_graph", "random_tree", "serialize_edge_list", "tree_idn",

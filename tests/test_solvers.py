@@ -3,7 +3,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from idrd import (
     INVARIANT_NAMES,
@@ -14,7 +14,6 @@ from idrd import (
     build_graph,
     compute_invariants,
     domination_number,
-    forced_threes,
     gamma_dr,
     gamma_r2,
     i2rdn,
@@ -40,6 +39,7 @@ from idrd import (
 from idrd.solvers import (
     _THRESHOLD,
     _bfs_order,
+    _forced_mask,
     _matching_partners,
     _neighbor_masks,
     _rainbow_completion,
@@ -169,14 +169,27 @@ def test_rainbow_completion_handles_deep_searches():
     assert twos == sum(1 << 4 * c + 2 for c in range(cycles))
 
 
+@settings(max_examples=100, deadline=None)
+@given(graphs(min_n=1, max_n=8), st.data())
+def test_rainbow_completion_matches_the_product_oracle(g, data):
+    s = data.draw(st.sampled_from(oracles.brute_maximal_independent_sets(g.n, g.edges)))
+    nbr = _neighbor_masks(g)
+    mask = sum(1 << v for v in s)
+    forced = _forced_mask(nbr, mask)
+    weight, sets = oracles.first_rainbow_completion(g.n, g.edges, s)
+    for limit in (float("inf"), weight):
+        got, ones, twos = _rainbow_completion(nbr, mask, forced, limit)
+        assert got == weight
+        assert [
+            frozenset(c for c, m in ((1, ones), (2, twos)) if m >> v & 1) for v in range(g.n)
+        ] == sets
+    assert _rainbow_completion(nbr, mask, forced, weight - 1) is None
+
+
 def test_forced_threes_on_a_double_star():
-    g = double_star(2, 2)
-    assert forced_threes(g, {0, 4, 5}) == frozenset({0})
-    assert forced_threes(g, {2, 3, 4, 5}) == frozenset()
-    with pytest.raises(ValueError, match="maximal independent set"):
-        forced_threes(g, {0, 1})
-    with pytest.raises(ValueError, match="maximal independent set"):
-        forced_threes(g, {0})
+    nbr = _neighbor_masks(double_star(2, 2))
+    assert _forced_mask(nbr, 1 << 0 | 1 << 4 | 1 << 5) == 1 << 0
+    assert _forced_mask(nbr, 1 << 2 | 1 << 3 | 1 << 4 | 1 << 5) == 0
 
 
 # ---------------------------------------------------------------------------
