@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from idrd import INVARIANT_NAMES, SizeLimitError, build_graph, idn, idrdn, ir2dn
+from idrd import INVARIANT_NAMES, SizeLimitError, bounds, build_graph, idn, idrdn, ir2dn
 from idrd.bounds import (
     _BOUND_INVARIANTS,
     BOUND_NAMES,
@@ -225,6 +225,36 @@ def test_fuzz_finds_no_violations_on_each_class():
 ])
 def test_fuzz_tight_counts_are_pinned(graph_class, counts):
     assert fuzz(graph_class, 12, 200, seed=7).tight_counts == counts
+
+
+def test_fuzz_checks_each_trial_through_the_module_global(monkeypatch):
+    # the benchmark tracer wraps `bounds.check_bounds` and counts its calls
+    calls = []
+    original = bounds.check_bounds
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(bounds, "check_bounds", counting)
+    for graph_class in GRAPH_CLASSES:
+        calls.clear()
+        report = fuzz(graph_class, 9, 23, seed=4)
+        assert len(calls) == report.trials == 23
+
+
+def test_bound_check_shape():
+    rec = check_bounds(path_graph(4))[0]
+    assert isinstance(rec, BoundCheck)
+    assert list(rec.to_dict()) == [
+        "name", "anchor", "applicability", "relation", "lhs", "rhs",
+        "holds", "tight", "skipped", "skip_reason",
+    ]
+    with pytest.raises(AttributeError):
+        rec.holds = False
+    bare = BoundCheck("B2", "ir2dn < idrdn", "any", "<", 3, 4, True, False)
+    assert (bare.skipped, bare.skip_reason) == (False, None)
+    assert bare == BoundCheck(*bare.to_dict().values())
 
 
 def test_fuzz_report_shape():

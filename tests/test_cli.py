@@ -795,3 +795,24 @@ def test_solve_witness_json_is_pinned(capsys, monkeypatch):
                            monkeypatch, text)
         digest.update(f"{code}\n{out}".encode("utf-8"))
     assert digest.hexdigest() == "7c70fc02381173617e692d006b83c2e4c94e0580b7d24b9080a6a6070b3c27af"
+
+
+def test_bounds_solve_and_fuzz_json_are_pinned(capsys, monkeypatch):
+    # `bounds` in both forms, `solve --json` without witnesses and seeded
+    # `fuzz --json` runs, byte for byte
+    monkeypatch.delenv("IDRD_SIZE_LIMIT", raising=False)
+    digest = hashlib.sha256()
+    for text in _golden_solve_inputs():
+        for argv in (
+            ["bounds", "--input", "-", "--json"],
+            ["bounds", "--input", "-"],
+            ["solve", "--input", "-", "--json"],
+        ):
+            code, out, _ = run(argv, capsys, monkeypatch, text)
+            digest.update(f"{code}\n{out}".encode("utf-8"))
+    for graph_class in ("connected", "general", "tree"):
+        for seed in range(3):
+            code, out, _ = run(["fuzz", graph_class, "12", "25", "--seed", str(seed), "--json"],
+                               capsys)
+            digest.update(f"{code}\n{out}".encode("utf-8"))
+    assert digest.hexdigest() == "c10fc72bbfcc699979db10daf38d578197d89d7f70e4b4bafade2e157ef72063"
