@@ -11,7 +11,8 @@ reported only for "<=" rows, as lhs == rhs.
 """
 
 import operator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import Graph, random_graph, random_tree, serialize_edge_list
 from .rng import SplitMix64
@@ -73,8 +74,7 @@ TIGHTNESS_WITNESSED = (
 )
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One evaluated (or skipped) inequality record."""
 
     name: str
@@ -89,7 +89,7 @@ class BoundCheck:
     skip_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 # relation -> whether lhs and rhs satisfy it
@@ -97,10 +97,11 @@ _HOLDS = {"<=": operator.le, "<": operator.lt, "=": operator.eq}
 
 
 def check_bounds(g: Graph) -> list:
-    """Evaluate every known bound record on g (order >= 1)."""
+    """Evaluate every known bound record on g (order >= 1).  The anchors
+    read values only, so no witness is computed."""
     if g.n == 0:
         raise ValueError("bound checks need at least one vertex")
-    table = compute_invariants(g, _BOUND_INVARIANTS)
+    table = compute_invariants(g, _BOUND_INVARIANTS, witnesses=False)
     connected = g.is_connected()
     tree_reason = None
     if not (connected and g.m == g.n - 1):

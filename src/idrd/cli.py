@@ -125,7 +125,7 @@ def _cmd_solve(args) -> int:
     which = None if args.invariants is None else args.invariants.split(",")
     admit(n, which)  # before the graph is built
     g = build_graph(n, edges)
-    table = compute_invariants(g, which)
+    table = compute_invariants(g, which, witnesses=args.witness)
     digest = _digest(serialize_edge_list(g))
     payload = {
         "invariants": table.entries,

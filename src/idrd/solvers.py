@@ -66,12 +66,12 @@ once the incumbent, the independent optimum, is proven optimal:
    undefended neighbor takes only the least label, since a larger one
    defends nothing more.  A node with no undefended vertex is a leaf: the
    undecided vertices take 0.
-3. The witness, only when the value beats the incumbent: the same search
-   from value + 1 with the value as floor, but its children label the next
-   vertex of a BFS order (from the max-degree vertex of each component) with
-   each label in `_THRESHOLD` order, under the same dominance rule, and a
-   node is cut once an undefended vertex has its closed neighborhood
-   decided.
+3. The witness, only when witnesses are requested and the value beats the
+   incumbent: the same search from value + 1 with the value as floor, but
+   its children label the next vertex of a BFS order (from the max-degree
+   vertex of each component) with each label in `_THRESHOLD` order, under
+   the same dominance rule, and a node is cut once an undefended vertex has
+   its closed neighborhood decided.
 
 The witness is that of a search in this order that replaces its best only by
 strictly lighter labelings: an optimal incumbent, kept by stages 1-2, else
@@ -295,15 +295,18 @@ def _sorts_before(s: int, t: int) -> int:
     return s & d & -d
 
 
-def _mis_pass(g: Graph, names, nbr: list) -> dict:
+def _mis_pass(g: Graph, names, nbr: list, witnesses: bool) -> dict:
     """Optimal (weight, label per vertex) of each requested independent number.
 
     One scan of the maximal independent sets serves idn, ir2dn, idrdn and
-    i2rdn alike, with `nbr` the graph's `_neighbor_masks`.  Ties go to the lexicographically smallest sorted positive
-    set, compared as masks by `_sorts_before`.  The rainbow completion only
-    looks for weights that could win: at most the best rainbow weight so far
-    when S sorts before the best set, one less when S sorts after it.  It is
-    skipped when |S| + |forced(S)| already exceeds that limit.
+    i2rdn alike, with `nbr` the graph's `_neighbor_masks`.  Ties go to the
+    lexicographically smallest sorted positive set, compared as masks by
+    `_sorts_before`.  The rainbow completion only looks for weights that
+    could win: at most the best rainbow weight so far when S sorts before the
+    best set, one less when S sorts after it.  It is skipped when
+    |S| + |forced(S)| already exceeds that limit.  Without `witnesses` no tie
+    is broken, the rainbow limit is always one less than the best weight, and
+    the labels are None.
     """
     weighted = [(name, *_MIS_WEIGHTS[name]) for name in _MIS_WEIGHTS if name in names]
     rainbow = "i2rdn" in names
@@ -323,7 +326,7 @@ def _mis_pass(g: Graph, names, nbr: list) -> dict:
         ]
         if rainbow:
             limit, ones, twos = best["i2rdn"]
-            if not _sorts_before(s, ones | twos):  # a tie would lose
+            if not (witnesses and _sorts_before(s, ones | twos)):  # a tie would lose
                 limit -= 1
             if size + strong_count <= limit:
                 completion = _rainbow_completion(nbr, s, forced, limit)
@@ -331,8 +334,10 @@ def _mis_pass(g: Graph, names, nbr: list) -> dict:
                     scores.append(("i2rdn", *completion))
         for name, weight, low, high in scores:
             least, low0, high0 = best[name]
-            if weight < least or weight == least and _sorts_before(s, low0 | high0):
+            if weight < least or witnesses and weight == least and _sorts_before(s, low0 | high0):
                 best[name] = (weight, low, high)
+    if not witnesses:
+        return {name: (weight, None) for name, (weight, _, _) in best.items()}
     return {
         name: (weight, [_LABELS[name][(low >> v & 1) + 2 * (high >> v & 1)] for v in range(g.n)])
         for name, (weight, low, high) in best.items()
@@ -459,14 +464,15 @@ def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
 # ---------------------------------------------------------------------------
 
 
-def _solve(g: Graph, names) -> dict:
+def _solve(g: Graph, names, nbr: list, witnesses: bool = True) -> dict:
     """(weight, label per vertex) of each requested exact number: one MIS pass
     for the independent numbers and the incumbents, then in `_THRESHOLD`
-    order the three stages of the module docstring per plain number.  The
-    floor is the sum of its terms when this call computed them all, else 0."""
+    order the stages of the module docstring per plain number, stage 3 only
+    with `witnesses` (without, every label list is None).  The floor is the
+    sum of its terms when this call computed them all, else 0.  `nbr` is the
+    graph's `_neighbor_masks`."""
     plain = [name for name in _THRESHOLD if name in names]
-    nbr = _neighbor_masks(g)
-    found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain}, nbr)
+    found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain}, nbr, witnesses)
     order = None
     for name in plain:
         labels, k, start, terms = _THRESHOLD[name]
@@ -474,6 +480,9 @@ def _solve(g: Graph, names) -> dict:
         weight, incumbent = found[name] = found[start]
         value = _threshold(nbr, labels, k, weight, floor)[0]
         if value < weight:
+            if not witnesses:
+                found[name] = (value, None)
+                continue
             order = order or _bfs_order(g)
             found[name] = _threshold(nbr, labels, k, value + 1, value, order)
     return found
@@ -501,7 +510,7 @@ _EXPONENTIAL = frozenset(_WITNESS) | {"packing"}
 def _exact(g: Graph, name: str):
     _guard(g.n)
     _require_vertices(g)
-    weight, vals = _solve(g, (name,))[name]
+    weight, vals = _solve(g, (name,), _neighbor_masks(g))[name]
     return weight, _WITNESS[name](vals)
 
 
@@ -559,13 +568,16 @@ def packing_number(g: Graph) -> tuple[int, frozenset]:
     smallest maximum packing.
     """
     _guard(g.n)
-    return _packing(g)
-
-
-def _packing(g: Graph) -> tuple[int, frozenset]:
-    """`packing_number` without the size guard, for callers that checked it."""
     _require_vertices(g)
-    closed = [nb | (1 << v) for v, nb in enumerate(_neighbor_masks(g))]
+    size, members = _packing(g, _neighbor_masks(g))
+    return size, frozenset(_bits(members))
+
+
+def _packing(g: Graph, nbr: list) -> tuple[int, int]:
+    """(size, member bitmask) of `packing_number`'s packing, with `nbr` the
+    graph's `_neighbor_masks`, for callers that checked the guard and the
+    order."""
+    closed = [nb | (1 << v) for v, nb in enumerate(nbr)]
     reach = []  # reach[v]: the vertices within distance 2 of v, v included
     for v, nb in enumerate(g.adj):
         within_two = closed[v]
@@ -584,7 +596,7 @@ def _packing(g: Graph) -> tuple[int, frozenset]:
         b = cand & -cand
         stack.append((size, members, cand ^ b))
         stack.append((size + 1, members | b, cand & ~reach[b.bit_length() - 1]))
-    return best_size, frozenset(_bits(best))
+    return best_size, best
 
 
 def _matching_partners(g: Graph) -> tuple:
@@ -721,9 +733,10 @@ def _matched_edges(g: Graph) -> tuple:
     return tuple((v, u) for v, u in enumerate(_matching_partners(g)) if u > v)
 
 
-def _edge_cover_edges(g: Graph) -> tuple:
-    """The matching plus one edge at each unmatched vertex."""
-    edges = list(_matched_edges(g))
+def _edge_cover_edges(g: Graph, matched: tuple) -> tuple:
+    """The matching `matched` (`_matched_edges`) plus one edge at each
+    unmatched vertex."""
+    edges = list(matched)
     for v, u in enumerate(_matching_partners(g)):
         if u == -1:
             edges.append(tuple(sorted((v, g.adj[v][0]))))
@@ -834,17 +847,20 @@ def admit(order: int, which=None) -> list:
     return names
 
 
-def compute_invariants(g: Graph, which=None) -> InvariantTable:
+def compute_invariants(g: Graph, which=None, *, witnesses: bool = True) -> InvariantTable:
     """Compute the requested invariants (all known ones by default).
 
     The exact numbers share one MIS pass, and the matching and edge cover
     share the graph's one matching.  min_edge_cover is skipped with a
     not-applicable marker when the graph has an isolated vertex.  The names
-    are checked by `admit` first.
+    are checked by `admit` first.  With `witnesses` false the table has the
+    same entries and markers but no witnesses, and no search is spent on
+    them: no tie-breaks in the MIS pass, no witness search for the plain
+    numbers, and the packing, matching and cover are counted, not listed.
     """
     names = admit(g.n, which)
     table = InvariantTable()
-    exact = None
+    exact = nbr = matched = None
     for name in INVARIANT_NAMES:
         if name not in names:
             continue
@@ -854,26 +870,34 @@ def compute_invariants(g: Graph, which=None) -> InvariantTable:
             table.entries[name] = g.max_degree()
         elif name == "min_degree":
             table.entries[name] = g.min_degree()
-        elif name in _WITNESS:
-            if exact is None:
+        elif name in _EXPONENTIAL:
+            if nbr is None:
                 _require_vertices(g)
-                exact = _solve(g, [x for x in names if x in _WITNESS])
-            value, vals = exact[name]
-            witness = _WITNESS[name](vals)
-            table.entries[name] = value
-            table.witnesses[name] = (
-                tuple(sorted(witness)) if isinstance(witness, frozenset) else witness
-            )
-        elif name == "packing":
-            value, witness = _packing(g)
-            table.entries[name] = value
-            table.witnesses[name] = tuple(sorted(witness))
+                nbr = _neighbor_masks(g)
+            if name == "packing":
+                table.entries[name], members = _packing(g, nbr)
+                if witnesses:
+                    table.witnesses[name] = tuple(_bits(members))
+                continue
+            if exact is None:
+                exact = _solve(g, [x for x in names if x in _WITNESS], nbr, witnesses)
+            table.entries[name], vals = exact[name]
+            if witnesses:
+                witness = _WITNESS[name](vals)
+                table.witnesses[name] = (
+                    tuple(sorted(witness)) if isinstance(witness, frozenset) else witness
+                )
         elif name == "min_edge_cover" and g.n > 0 and g.has_isolated_vertex():
             table.not_applicable[name] = "graph has an isolated vertex"
         else:
             _require_vertices(g)
             # the cover adds one edge per unmatched vertex: n - |matching| edges
-            edges = _matched_edges(g) if name == "max_matching" else _edge_cover_edges(g)
-            table.entries[name] = len(edges)
-            table.witnesses[name] = edges
+            matching = (g.n - _matching_partners(g).count(-1)) // 2
+            table.entries[name] = matching if name == "max_matching" else g.n - matching
+            if witnesses:
+                if matched is None:
+                    matched = _matched_edges(g)
+                table.witnesses[name] = (
+                    matched if name == "max_matching" else _edge_cover_edges(g, matched)
+                )
     return table

@@ -3,7 +3,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from idrd import (
     INVARIANT_NAMES,
@@ -461,7 +461,8 @@ def test_threshold_value_matches_brute_force(name, g):
 def test_threshold_value_matches_the_witness_search():
     for seed in range(90):
         g = random_graph(6 + seed % 11, (0.1, 0.2, 0.35)[seed // 11 % 3], seed)
-        found, order, nbr = _solve(g, ["idn", "ir2dn", "idrdn"]), _bfs_order(g), _neighbor_masks(g)
+        nbr = _neighbor_masks(g)
+        found, order = _solve(g, ["idn", "ir2dn", "idrdn"], nbr), _bfs_order(g)
         for name, (labels, k, start, _) in _THRESHOLD.items():
             weight = found[start][0]
             expected = _threshold(nbr, labels, k, weight, 0, order)[0]
@@ -494,7 +495,7 @@ def test_plain_witnesses_are_the_first_optimal_labelings(g):
     # the incumbent if it is optimal, else the first optimum in the order of
     # the witness search: BFS order, each vertex taking its labels in turn
     names = ["gamma", "gamma_r2", "gamma_dr"]
-    found, order = _solve(g, names), _bfs_order(g)
+    found, order = _solve(g, names, _neighbor_masks(g)), _bfs_order(g)
     for name in names:
         labels, k, start, _ = _THRESHOLD[name]
         first = oracles.first_threshold_labeling(g.n, g.edges, labels, k, order)
@@ -533,7 +534,8 @@ def test_floors_do_not_change_the_threshold_searches():
     names = ["gamma", "gamma_r2", "gamma_dr"]
     for seed in range(60):
         g = random_graph(6 + seed % 9, (0.1, 0.2, 0.35)[seed // 9 % 3], seed)
-        found, order, nbr = _solve(g, names), _bfs_order(g), _neighbor_masks(g)
+        nbr = _neighbor_masks(g)
+        found, order = _solve(g, names, nbr), _bfs_order(g)
         for name in names:
             labels, k, start, _ = _THRESHOLD[name]
             weight, incumbent = found[start]
@@ -964,3 +966,27 @@ def test_invariant_table_matches_the_standalone_functions(g):
     assert table.witnesses["idn"] == tuple(sorted(idn(g)[1]))
     for name, solver in (("ir2dn", ir2dn), ("i2rdn", i2rdn), ("idrdn", idrdn)):
         assert table.witnesses[name] == solver(g)[1]
+
+
+# The seven exact numbers' oracles, the plain ones over their search's labels.
+_BRUTE_EXACT = dict(
+    _BRUTE_THRESHOLD,
+    idn=oracles.brute_idn,
+    ir2dn=oracles.brute_ir2dn,
+    i2rdn=lambda n, edges: oracles.brute_i2rdn(n, edges)[0],
+    idrdn=oracles.brute_idrdn,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=graphs(max_n=7), names=st.lists(st.sampled_from(INVARIANT_NAMES), unique=True))
+@example(g=double_star(2, 2), names=list(INVARIANT_NAMES))  # gamma < idn, gamma_dr < idrdn
+def test_value_only_table_is_the_table_without_witnesses(g, names):
+    values = compute_invariants(g, names, witnesses=False)
+    table = compute_invariants(g, names)
+    assert values.entries == table.entries
+    assert list(values.entries) == list(table.entries)
+    assert values.not_applicable == table.not_applicable
+    assert values.witnesses == {}
+    for name in set(names) & set(_BRUTE_EXACT):
+        assert values.entries[name] == _BRUTE_EXACT[name](g.n, g.edges)
