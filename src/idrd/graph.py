@@ -7,6 +7,8 @@ canonical form (edges sorted, u < v, trailing newline) so that
 parse(serialize(g)) == g and byte-identical output is reproducible.
 """
 
+import operator
+
 from .rng import SplitMix64
 
 
@@ -26,6 +28,11 @@ class Graph:
     __slots__ = ("n", "edges", "adj", "_match")
 
     def __init__(self, n: int, edges):
+        index = operator.index  # ints only: no float, str or other int() conversion
+        try:
+            n = index(n)
+        except TypeError:
+            raise ValueError(f"vertex count {n!r} is not an integer") from None
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         canon = set()
@@ -34,7 +41,10 @@ class Graph:
                 u, v = e
             except (TypeError, ValueError):
                 raise ValueError(f"edge {e!r} is not a pair")
-            u, v = int(u), int(v)
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise ValueError(f"edge {e!r} has a non-integer endpoint") from None
             lo, hi = (u, v) if u < v else (v, u)
             if not 0 <= lo < hi < n:
                 if u == v:

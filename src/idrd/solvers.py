@@ -50,16 +50,17 @@ once the incumbent, the independent optimum, is proven optimal:
    dominates, so γ_dR = (|V2| + 2|V3|) + |V2 ∪ V3| >= γ_R2 + γ.
 2. The exact value, by `_threshold` on bitmasks.  It branches as Fomin,
    Grandoni & Kratsch ("A measure and conquer approach for the analysis of
-   exact algorithms", J. ACM 56 (2009)) on the undefended v with the fewest
-   undecided u_1 < ... < u_m in N[v]: branch (i, x) labels u_i with x > 0
-   and fixes u_1..u_{i-1} at 0.  Only labels in N[v] defend v, so every
-   completion makes some u_i positive and lies in the branch of the first
-   one and its label: the branches partition the completions.  The bound
-   (van Rooij & Bodlaender, "Exact algorithms for dominating set", Discrete
-   Appl. Math. 159 (2011)) sums (k − r(v)) / c'(v) over the undefended v,
-   r(v) what v receives, c'(v) = k/least + the largest degree in N[v], least
-   the least positive label.  A label x at u lowers u's term by at most
-   k/c'(u) <= (k/least)·x/c'(u) and each neighbor w's by at most
+   exact algorithms", J. ACM 56 (2009)) on an ordered candidate list C:
+   child (C[t], x) labels C[t] with x > 0 and fixes C[:t] at 0.  Here C is
+   the undecided u_1 < ... < u_m in N[v] of the undefended v with the fewest
+   of them.  Only labels in N[v] defend v, so every completion makes some
+   u_i positive and lies in the child of the first one and its label: the
+   children partition the completions, and the all-0 continuation is dead.
+   The bound (van Rooij & Bodlaender, "Exact algorithms for dominating set",
+   Discrete Appl. Math. 159 (2011)) sums (k − r(v)) / c'(v) over the
+   undefended v, r(v) what v receives, c'(v) = k/least + the largest degree
+   in N[v], least the least positive label.  A label x at u lowers u's term
+   by at most k/c'(u) <= (k/least)·x/c'(u) and each neighbor w's by at most
    x/c'(w) <= x/(k/least + deg u), so the sum, 0 on a valid labeling, drops
    by at most x: the labels to come weigh at least its ceiling.  It is an
    integer, scaled by the lcm of the c'(v).  Dominance: a vertex with no
@@ -68,10 +69,11 @@ once the incumbent, the independent optimum, is proven optimal:
    undecided vertices take 0.
 3. The witness, only when witnesses are requested and the value beats the
    incumbent: the same search from value + 1 with the value as floor, but
-   its children label the next vertex of a BFS order (from the max-degree
-   vertex of each component) with each label in `_THRESHOLD` order, under
-   the same dominance rule, and a node is cut once an undefended vertex has
-   its closed neighborhood decided.
+   C = order[i:j] for a BFS order (from the max-degree vertex of each
+   component), order[:i] decided and j the first index at which an
+   undefended vertex has its closed neighborhood in order[:j].  The last
+   candidate pops first, so order[i] at 0, which holds the later children,
+   pops before order[i] positive with each label in `_THRESHOLD` order.
 
 The witness is that of a search in this order that replaces its best only by
 strictly lighter labelings: an optimal incumbent, kept by stages 1-2, else
@@ -369,18 +371,18 @@ def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
     values in `labels` in which the labels of every 0-vertex's neighbors sum
     to at least k, over the `_neighbor_masks` `nbr`; (`best`, None) if there
     is none.  The search ends at the first labeling that weighs at most the
-    proven lower bound `floor`.  Children come from the fewest-candidates
-    rule of the module docstring, or with a vertex `order` from labeling the
-    next vertex of `order` with each of `labels` in turn, cut once an
-    undefended vertex has its closed neighborhood decided.  What the vertices
-    receive is one int of k fields of n bits, field j holding those that
-    receive more than j: a label updates all fields in one shift, and the
-    deficits are the bits of the undefended vertices, copied to every field,
-    minus the received fields.  Labels are kept 2 bits per vertex."""
+    proven lower bound `floor`.  Children follow the one rule of the module
+    docstring, pushed in C order with the labels reversed: the last
+    candidate pops first, depth-first over a vertex `order` when one is
+    given.  What the vertices receive is one int of k fields of n bits,
+    field j holding those that receive more than j: a label updates all
+    fields in one shift, and the deficits are the bits of the undefended
+    vertices, copied to every field, minus the received fields.  Labels are
+    kept 2 bits per vertex."""
     if best <= floor:
         return best, None
-    positive = [x for x in labels if x]
-    least = min(positive)
+    backward = [x for x in labels[::-1] if x]  # the positive labels, last first
+    least = min(backward)
     n = len(nbr)
     full = (1 << n) - 1
     ones = sum(1 << j * n for j in range(k))  # mask * ones: mask in every field
@@ -395,10 +397,9 @@ def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
     scale = math.lcm(*(c for _, c in groups))
     groups = [(mask * ones, least * scale // c) for mask, c in groups if mask]
     spread = [nb * ones for nb in nbr]
-    low = [(1 << x * n) - 1 for x in range(max(positive) + 1)]
+    low = [(1 << x * n) - 1 for x in range(max(backward) + 1)]
     top = (k - 1) * n
     if order is not None:
-        backward = positive[::-1]
         # settled[i]: the vertices whose closed neighborhood is in order[:i]
         settled, at = [0] * (n + 1), {v: i for i, v in enumerate(order)}
         for v, c in enumerate(closed):
@@ -422,40 +423,28 @@ def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
                 break
             continue
         undecided = full & ~(pos | zero)
-        if order is not None:
-            # order[i] at 0 keeps the bound and the undefended vertices, so
-            # that branch is walked here: order[i], order[i + 1], ... go to 0
-            # until an undefended vertex is settled, and the positive
-            # branches on the way are stacked so that they pop depth-first
-            i = n - undecided.bit_count()
-            while not undefended & settled[i]:
-                u = order[i]
-                b = 1 << u
-                for x in backward if nbr[u] & undefended else (least,):
-                    recv2 = recv | (recv << x * n | low[x]) & spread[u]
-                    stack.append((w + x, pos | b, zero, recv2, lab | x << 2 * u))
-                zero |= b
-                i += 1
-            continue
-        fewest, m = n + 1, undefended
-        while m:
-            b = m & -m
-            c = closed[b.bit_length() - 1] & undecided
-            if c.bit_count() < fewest:
-                fewest, cand = c.bit_count(), c
-                if fewest <= 1:
-                    break
-            m ^= b
-        children = []  # candidate i positive, candidates before it 0
-        while cand:
-            b = cand & -cand
-            u = b.bit_length() - 1
-            for x in positive if nbr[u] & undefended else (least,):
+        if order is None:  # the undefended vertex with the fewest candidates
+            fewest, m = n + 1, undefended
+            while m:
+                b = m & -m
+                c = closed[b.bit_length() - 1] & undecided
+                if c.bit_count() < fewest:
+                    fewest, cand = c.bit_count(), c
+                    if fewest <= 1:
+                        break
+                m ^= b
+            cand = _bits(cand)
+        else:  # the next vertices of `order`, up to one that settles an undefended vertex
+            i = j = n - undecided.bit_count()
+            while not undefended & settled[j]:
+                j += 1
+            cand = order[i:j]
+        for u in cand:  # u positive, the candidates before it 0
+            b = 1 << u
+            for x in backward if nbr[u] & undefended else (least,):
                 recv2 = recv | (recv << x * n | low[x]) & spread[u]
-                children.append((w + x, pos | b, zero, recv2, lab | x << 2 * u))
+                stack.append((w + x, pos | b, zero, recv2, lab | x << 2 * u))
             zero |= b
-            cand ^= b
-        stack += reversed(children)
     return best, None if found is None else [found >> 2 * v & 3 for v in range(n)]
 
 

@@ -290,16 +290,23 @@ def tree_certificate(n, edges):
     return min(encode(c, -1) for c in alive)
 
 
-def tree_labeling(n, edges, labels, k, independent):
+def tree_labeling(n, edges, labels, k, independent, rainbow=False):
     """Least weight of a labeling of the tree (n, edges) with values in
     `labels` in which the labels of every 0-vertex's neighbors sum to at least
     k, and, when `independent`, no two adjacent vertices are both positive.
+    With `rainbow` a label is a set of colors as a bit mask (1 = {1}, 2 = {2},
+    3 = {1, 2}) that weighs its size, a vertex receives the union of its
+    neighbors' colors, and k = 3 asks an empty vertex for both colors.
 
     Dynamic programming over the tree rooted at 0 (Telle & Proskurowski, SIAM
     J. Discrete Math. 10 (1997)): a vertex's state is its own label and what
     its children send it, capped at k, and its children combine by a min-plus
     step over that amount.
     """
+    if rainbow:
+        add, size = (lambda r, y: r | y), int.bit_count
+    else:
+        add, size = (lambda r, y: min(k, r + y)), (lambda x: x)
     adj = adjacency(n, edges)
     parent = {0: None}
     order = [0]
@@ -321,16 +328,16 @@ def tree_labeling(n, edges, labels, k, independent):
                 # least weight of the child's subtree per child label, with v labeled x
                 send = {}
                 for (y, r), w in child.items():
-                    if (y or r + x >= k) and not (independent and x and y) and w < send.get(y, inf):
+                    if (y or add(r, x) >= k) and not (independent and x and y) and w < send.get(y, inf):
                         send[y] = w
                 step = [inf] * (k + 1)
                 for r, w in enumerate(got):
                     for y, wc in send.items():
-                        j = min(k, r + y)
+                        j = add(r, y)
                         step[j] = min(step[j], w + wc)
                 got = step
             for r, w in enumerate(got):
-                table[v][x, r] = x + w
+                table[v][x, r] = size(x) + w
     return min(w for (x, r), w in table[0].items() if x or r >= k)
 
 

@@ -45,6 +45,24 @@ def test_construction_rejects_bad_input():
         build_graph(3, [(5, 5)])
 
 
+def test_construction_takes_only_integer_vertices():
+    for n in (2.5, "3", None):
+        with pytest.raises(ValueError, match=r"^vertex count .* is not an integer$"):
+            Graph(n, [])
+    for e in [(0, 1.5), ("0", 1), (0, None), (1.0, 1.0)]:
+        with pytest.raises(ValueError, match=r"^edge .* has a non-integer endpoint$"):
+            build_graph(3, [e])
+    # the pair check and the vertex count come first, as before
+    with pytest.raises(ValueError, match="non-negative"):
+        build_graph(-1, [(0, 1.5)])
+    with pytest.raises(ValueError, match="not a pair"):
+        build_graph(3, [(0.5,)])
+    # bools and other __index__ types are ints: n is an int, not True
+    g = Graph(True, [])
+    assert type(g.n) is int and g.n == 1
+    assert build_graph(3, [(False, True)]).edges == ((0, 1),)
+
+
 @given(graphs(min_n=0, max_n=9), st.randoms(use_true_random=False))
 def test_neighbor_tuples_survive_shuffled_reversed_and_repeated_edges(g, rng):
     edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]

@@ -793,7 +793,7 @@ def test_tree_dp_rejects_non_trees_with_n_minus_one_edges():
             tree_dp(empty_graph(0))
 
 
-# name -> (labels, threshold k, independent) of the same number as a tree labeling
+# name -> (labels, threshold k, independent[, rainbow]) of the same number as a tree labeling
 _TREE_LABELINGS = {
     "gamma": ((0, 1), 1, False),
     "gamma_r2": ((0, 1, 2), 2, False),
@@ -801,6 +801,7 @@ _TREE_LABELINGS = {
     "idn": ((0, 1), 1, True),
     "ir2dn": ((0, 1, 2), 2, True),
     "idrdn": ((0, 2, 3), 3, True),
+    "i2rdn": ((0, 1, 2, 3), 3, True, True),
 }
 
 
@@ -818,6 +819,7 @@ def test_tree_oracle_matches_brute_force_on_small_trees():
         "idn": oracles.brute_idn,
         "ir2dn": oracles.brute_ir2dn,
         "idrdn": oracles.brute_idrdn,
+        "i2rdn": lambda n, edges: oracles.brute_i2rdn(n, edges)[0],
     }
     for n in range(1, 9):
         t = random_tree(n, 7 * n)
