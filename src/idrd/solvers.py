@@ -41,8 +41,8 @@ for γ_R2 and ({0, 2, 3}, 3) for γ_dR.  The last rests on Beeler, Haynes &
 Hedetniemi, "Double Roman domination", Discrete Appl. Math. 211 (2016): some
 minimum double Roman dominating function has no 1, and with labels in {2, 3}
 "a 3-neighbor or two 2-neighbors" is "neighbor sum >= 3".  A vertex is
-defended when positive or receiving at least k.  Each stage ends the work
-once the incumbent, the independent optimum, is proven optimal:
+defended when positive or receiving at least k.  The incumbent is the
+independent optimum, and stages 1 and 2 end once it is proven optimal:
 
 1. A floor: γ_dR >= γ_R2 + γ when the call computed both.  Take a minimum
    double Roman dominating function with no 1s, V2 and V3 its 2- and
@@ -50,12 +50,10 @@ once the incumbent, the independent optimum, is proven optimal:
    dominates, so γ_dR = (|V2| + 2|V3|) + |V2 ∪ V3| >= γ_R2 + γ.
 2. The exact value, by `_threshold` on bitmasks.  It branches as Fomin,
    Grandoni & Kratsch ("A measure and conquer approach for the analysis of
-   exact algorithms", J. ACM 56 (2009)) on an ordered candidate list C:
-   child (C[t], x) labels C[t] with x > 0 and fixes C[:t] at 0.  Here C is
-   the undecided u_1 < ... < u_m in N[v] of the undefended v with the fewest
-   of them.  Only labels in N[v] defend v, so every completion makes some
-   u_i positive and lies in the child of the first one and its label: the
-   children partition the completions, and the all-0 continuation is dead.
+   exact algorithms", J. ACM 56 (2009)) on the undecided u_1 < ... < u_m in
+   N[v] of the undefended v with the fewest of them: child (u_t, x) labels
+   u_t with x > 0 and u_1..u_{t-1} with 0.  Only labels in N[v] defend v, so
+   the children partition the completions, and the all-0 one is dead.
    The bound (van Rooij & Bodlaender, "Exact algorithms for dominating set",
    Discrete Appl. Math. 159 (2011)) sums (k − r(v)) / c'(v) over the
    undefended v, r(v) what v receives, c'(v) = k/least + the largest degree
@@ -67,21 +65,16 @@ once the incumbent, the independent optimum, is proven optimal:
    undefended neighbor takes only the least label, since a larger one
    defends nothing more.  A node with no undefended vertex is a leaf: the
    undecided vertices take 0.
-3. The witness, only when witnesses are requested and the value beats the
-   incumbent: the same search from value + 1 with the value as floor, but
-   C = order[i:j] for a BFS order (from the max-degree vertex of each
-   component), order[:i] decided and j the first index at which an
-   undefended vertex has its closed neighborhood in order[:j].  The last
-   candidate pops first, so order[i] at 0, which holds the later children,
-   pops before order[i] positive with each label in `_THRESHOLD` order.
-
-The witness is that of a search in this order that replaces its best only by
-strictly lighter labelings: an optimal incumbent, kept by stages 1-2, else
-the first labeling in depth-first order that weighs the optimum.  Stage 3
-meets that labeling first: no prune cuts a labeling of optimal weight, the
-dominance rule drops only labelings heavier than another valid one, and
-every label tuple starts with 0, so the first labeling under a leaf is its
-all-0 completion.  The floor stops the search there.
+3. The witness, when witnesses are requested and the value beats the
+   incumbent: the first optimum over (a BFS order from each component's
+   max-degree vertex, `_THRESHOLD` label order), by self-reduction (Schnorr,
+   "Optimal algorithms for self-reducible problems", ICALP 1976).  Start
+   with F, stage 2's labeling.  Each u in BFS order takes the first label x
+   before F's label at u for which stage 2's search from the prefix plus x
+   at u, from value + 1 with the value as floor, reaches the value, and F
+   becomes its labeling; else u keeps F's label.  The bound and the
+   dominance rule, which relabels only undecided vertices, hold at any node,
+   so each test is exact.
 
 The packing number is a third, separate search: a maximum independent set of
 the square graph, by include-first branch and bound (Tarjan & Trojanowski,
@@ -91,13 +84,12 @@ Exact exponential solvers refuse graphs larger than 24 vertices unless the
 IDRD_SIZE_LIMIT environment variable (a non-negative integer) raises the bar.
 Witnesses from the enumeration-based solvers break ties toward the
 lexicographically smallest positive set, and the packing witness is the
-lexicographically smallest maximum packing; the threshold witnesses are the
-deterministic first optimum found.
+lexicographically smallest maximum packing.
 """
 
 import math
 import os
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 
 from .graph import Graph, bfs
@@ -360,36 +352,25 @@ _THRESHOLD = {
 
 
 def _bfs_order(g: Graph) -> list:
-    """The order of the witness search: BFS from the max-degree vertex of
-    each component, ties to the least index."""
+    """The vertex order that defines the threshold witnesses: BFS from the
+    max-degree vertex of each component, ties to the least index."""
     return bfs(g, sorted(range(g.n), key=lambda v: (-len(g.adj[v]), v)))[1]
 
 
-def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
-               order=None) -> tuple:
-    """(least weight below `best`, label per vertex) of a labeling with
-    values in `labels` in which the labels of every 0-vertex's neighbors sum
-    to at least k, over the `_neighbor_masks` `nbr`; (`best`, None) if there
-    is none.  The search ends at the first labeling that weighs at most the
-    proven lower bound `floor`.  Children follow the one rule of the module
-    docstring, pushed in C order with the labels reversed: the last
-    candidate pops first, depth-first over a vertex `order` when one is
-    given.  What the vertices receive is one int of k fields of n bits,
-    field j holding those that receive more than j: a label updates all
-    fields in one shift, and the deficits are the bits of the undefended
-    vertices, copied to every field, minus the received fields.  Labels are
-    kept 2 bits per vertex."""
-    if best <= floor:
-        return best, None
-    backward = [x for x in labels[::-1] if x]  # the positive labels, last first
+_Context = namedtuple("_Context",
+                      "nbr labels backward least n full ones groups scale spread low top")
+
+
+def _context(nbr: list, labels: tuple, k: int) -> _Context:
+    """What every search of one label set on one graph shares."""
+    backward = [x for x in labels[::-1] if x]
     least = min(backward)
     n = len(nbr)
     full = (1 << n) - 1
     ones = sum(1 << j * n for j in range(k))  # mask * ones: mask in every field
-    closed = [nb | 1 << v for v, nb in enumerate(nbr)]
     reach = {}  # d -> the vertices v with a vertex of degree d in N[v]
-    for nb, c in zip(nbr, closed):
-        reach[nb.bit_count()] = reach.get(nb.bit_count(), 0) | c
+    for v, nb in enumerate(nbr):
+        reach[nb.bit_count()] = reach.get(nb.bit_count(), 0) | nb | 1 << v
     groups, left = [], full  # (vertices, least·c'(v)) by the largest degree in N[v]
     for d in sorted(reach, reverse=True):
         groups.append((reach[d] & left, k + least * d))
@@ -397,17 +378,33 @@ def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
     scale = math.lcm(*(c for _, c in groups))
     groups = [(mask * ones, least * scale // c) for mask, c in groups if mask]
     spread = [nb * ones for nb in nbr]
-    low = [(1 << x * n) - 1 for x in range(max(backward) + 1)]
-    top = (k - 1) * n
-    if order is not None:
-        # settled[i]: the vertices whose closed neighborhood is in order[:i]
-        settled, at = [0] * (n + 1), {v: i for i, v in enumerate(order)}
-        for v, c in enumerate(closed):
-            settled[1 + max(at[u] for u in _bits(c))] |= 1 << v
-        for i in range(n):
-            settled[i + 1] |= settled[i]
+    low = [(1 << x * n) - 1 for x in range(max(backward) + 1)]  # the fields below x
+    return _Context(nbr, labels, backward, least, n, full, ones, groups, scale, spread, low,
+                    (k - 1) * n)
+
+
+_ROOT = (0, 0, 0, 0, 0)  # (weight, positive, 0 and received vertices, labels, 2 bits each)
+
+
+def _fix(ctx: _Context, state: tuple, u: int, x: int) -> tuple:
+    """The search node `state` with the undecided vertex u labeled x."""
+    w, pos, zero, recv, lab = state
+    if not x:
+        return w, pos, zero | 1 << u, recv, lab
+    recv |= (recv << x * ctx.n | ctx.low[x]) & ctx.spread[u]
+    return w + x, pos | 1 << u, zero, recv, lab | x << 2 * u
+
+
+def _threshold(ctx: _Context, best: int, floor: int, start: tuple = _ROOT) -> tuple:
+    """(least weight below `best`, label per vertex) of a valid completion of
+    the node `start`, else (`best`, None), ended at the first that weighs at
+    most the proven lower bound `floor`.  What the vertices receive is k fields
+    of n bits in one int, field j holding those that receive more than j: a
+    label updates all fields in one shift, and the deficits are the undefended
+    vertices in every field minus the received fields."""
+    nbr, _, backward, least, n, full, ones, groups, scale, spread, low, top = ctx
     found = None
-    stack = [(0, 0, 0, 0, 0)]  # (weight, positive vertices, 0 vertices, received, labels)
+    stack = [start]
     while stack:
         w, pos, zero, recv, lab = stack.pop()
         undefended = full & ~(pos | recv >> top)
@@ -423,23 +420,16 @@ def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
                 break
             continue
         undecided = full & ~(pos | zero)
-        if order is None:  # the undefended vertex with the fewest candidates
-            fewest, m = n + 1, undefended
-            while m:
-                b = m & -m
-                c = closed[b.bit_length() - 1] & undecided
-                if c.bit_count() < fewest:
-                    fewest, cand = c.bit_count(), c
-                    if fewest <= 1:
-                        break
-                m ^= b
-            cand = _bits(cand)
-        else:  # the next vertices of `order`, up to one that settles an undefended vertex
-            i = j = n - undecided.bit_count()
-            while not undefended & settled[j]:
-                j += 1
-            cand = order[i:j]
-        for u in cand:  # u positive, the candidates before it 0
+        fewest, m = n + 1, undefended  # the undefended vertex with the fewest candidates
+        while m:
+            b = m & -m
+            c = (nbr[b.bit_length() - 1] | b) & undecided
+            if c.bit_count() < fewest:
+                fewest, cand = c.bit_count(), c
+                if fewest <= 1:
+                    break
+            m ^= b
+        for u in _bits(cand):  # u positive, the candidates before it 0
             b = 1 << u
             for x in backward if nbr[u] & undefended else (least,):
                 recv2 = recv | (recv << x * n | low[x]) & spread[u]
@@ -448,32 +438,41 @@ def _threshold(nbr: list, labels: tuple, k: int, best: int, floor: int,
     return best, None if found is None else [found >> 2 * v & 3 for v in range(n)]
 
 
+def _first_optimum(ctx: _Context, g: Graph, value: int, vals: list) -> list:
+    """Stage 3: the first labeling of weight `value`, the optimum, from `vals`, one of them."""
+    state = _ROOT
+    for u in _bfs_order(g):
+        for x in ctx.labels[:ctx.labels.index(vals[u])]:
+            found = _threshold(ctx, value + 1, value, _fix(ctx, state, u, x))[1]
+            if found is not None:
+                vals = found
+                break
+        state = _fix(ctx, state, u, vals[u])
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # public exact solvers
 # ---------------------------------------------------------------------------
 
 
 def _solve(g: Graph, names, nbr: list, witnesses: bool = True) -> dict:
-    """(weight, label per vertex) of each requested exact number: one MIS pass
-    for the independent numbers and the incumbents, then in `_THRESHOLD`
-    order the stages of the module docstring per plain number, stage 3 only
-    with `witnesses` (without, every label list is None).  The floor is the
-    sum of its terms when this call computed them all, else 0.  `nbr` is the
-    graph's `_neighbor_masks`."""
+    """(weight, label per vertex) of each requested exact number, with `nbr`
+    the graph's `_neighbor_masks`: one MIS pass for the independent numbers
+    and the incumbents, then the stages of the module docstring per plain
+    number on one `_context`, stage 3 only with `witnesses` (else every label
+    list is None), the floor only when this call computed all its terms."""
     plain = [name for name in _THRESHOLD if name in names]
     found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain}, nbr, witnesses)
-    order = None
     for name in plain:
         labels, k, start, terms = _THRESHOLD[name]
         floor = sum(found[t][0] for t in terms) if all(t in found for t in terms) else 0
-        weight, incumbent = found[name] = found[start]
-        value = _threshold(nbr, labels, k, weight, floor)[0]
-        if value < weight:
-            if not witnesses:
-                found[name] = (value, None)
-                continue
-            order = order or _bfs_order(g)
-            found[name] = _threshold(nbr, labels, k, value + 1, value, order)
+        weight, _ = found[name] = found[start]
+        if weight > floor:
+            ctx = _context(nbr, labels, k)
+            value, vals = _threshold(ctx, weight, floor)
+            if value < weight:
+                found[name] = (value, _first_optimum(ctx, g, value, vals) if witnesses else None)
     return found
 
 

@@ -341,6 +341,15 @@ def tree_labeling(n, edges, labels, k, independent, rainbow=False):
     return min(w for (x, r), w in table[0].items() if x or r >= k)
 
 
+def threshold_labelings(n, edges, labels, k):
+    """Every labeling with values in `labels` in which the labels of every
+    0-vertex's neighbors sum to at least k, as lists."""
+    adj = adjacency(n, edges)
+    for vals in product(labels, repeat=n):
+        if all(x or sum(vals[u] for u in adj[v]) >= k for v, x in enumerate(vals)):
+            yield list(vals)
+
+
 def first_threshold_labeling(n, edges, labels, k, order):
     """(weight, label per vertex) of the first labeling of least weight in
     which the labels of every 0-vertex's neighbors sum to at least k, first

@@ -1,5 +1,7 @@
 """Exact solvers against definition-level brute force, plus guard behavior."""
 
+import hashlib
+import json
 import time
 
 import pytest
@@ -37,8 +39,12 @@ from idrd import (
     tree_ir2dn,
 )
 from idrd.solvers import (
+    _ROOT,
     _THRESHOLD,
     _bfs_order,
+    _context,
+    _first_optimum,
+    _fix,
     _forced_mask,
     _matching_partners,
     _neighbor_masks,
@@ -426,12 +432,15 @@ _BRUTE_THRESHOLD = {
 def test_threshold_bound_alone_is_sound(name, g):
     # Every vertex on the largest label is valid but far from optimal, so the
     # lower bound, not the incumbent, does the pruning.
+    # The stage-3 loop then starts from the labeling that search found.
     labels, k = _THRESHOLD[name][:2]
-    value, vals = _threshold(_neighbor_masks(g), labels, k, max(labels) * g.n + 1, 0, _bfs_order(g))
+    ctx = _context(_neighbor_masks(g), labels, k)
+    value, found = _threshold(ctx, max(labels) * g.n + 1, 0)
     assert value == _BRUTE_THRESHOLD[name](g.n, g.edges)
-    assert sum(vals) == value
     adj = oracles.adjacency(g.n, g.edges)
-    assert all(x or sum(vals[u] for u in adj[v]) >= k for v, x in enumerate(vals))
+    for vals in (found, _first_optimum(ctx, g, value, found)):
+        assert sum(vals) == value
+        assert all(x or sum(vals[u] for u in adj[v]) >= k for v, x in enumerate(vals))
 
 
 def test_threshold_search_handles_deep_searches(monkeypatch):
@@ -442,9 +451,12 @@ def test_threshold_search_handles_deep_searches(monkeypatch):
     entries = compute_invariants(g, names).entries
     assert entries == {"gamma": 1502, "gamma_r2": 1504, "gamma_dr": 3006}
     # there the floor 1502 + 1504 ends the γ_dR search at once; with none it
-    # runs 1506 labels deep from above an incumbent of 3 on every vertex
+    # runs 1506 labels deep from above an incumbent of 3 on every vertex, and
+    # the stage-3 loop walks all 1506 vertices
     labels, k = _THRESHOLD["gamma_dr"][:2]
-    value, vals = _threshold(_neighbor_masks(g), labels, k, 3 * g.n + 1, 0, _bfs_order(g))
+    ctx = _context(_neighbor_masks(g), labels, k)
+    value, vals = _threshold(ctx, 3 * g.n + 1, 0)
+    vals = _first_optimum(ctx, g, value, vals)
     assert value == 3006 and sum(vals) == 3006
 
 
@@ -454,8 +466,17 @@ def test_threshold_search_handles_deep_searches(monkeypatch):
 def test_threshold_value_matches_brute_force(name, g):
     # started just above the all-max labeling, so the search finds every weight itself
     labels, k = _THRESHOLD[name][:2]
-    value = _threshold(_neighbor_masks(g), labels, k, max(labels) * g.n + 1, 0)[0]
+    value = _threshold(_context(_neighbor_masks(g), labels, k), max(labels) * g.n + 1, 0)[0]
     assert value == _BRUTE_THRESHOLD[name](g.n, g.edges)
+
+
+def _prefixes(ctx, vertices, vals):
+    """The search nodes that fix `vals` on `vertices[:i]`, for i = 0, 1, ..."""
+    state = _ROOT
+    yield state
+    for u in vertices:
+        state = _fix(ctx, state, u, vals[u])
+        yield state
 
 
 def test_threshold_value_matches_the_witness_search():
@@ -464,13 +485,17 @@ def test_threshold_value_matches_the_witness_search():
         nbr = _neighbor_masks(g)
         found, order = _solve(g, ["idn", "ir2dn", "idrdn"], nbr), _bfs_order(g)
         for name, (labels, k, start, _) in _THRESHOLD.items():
+            ctx = _context(nbr, labels, k)
             weight = found[start][0]
-            expected = _threshold(nbr, labels, k, weight, 0, order)[0]
-            assert _threshold(nbr, labels, k, weight, 0)[0] == expected, (seed, name)
-            # from one above the optimum it finds the optimum; from the optimum it proves it
-            for mode in (None, order):
-                assert _threshold(nbr, labels, k, expected + 1, 0, mode)[0] == expected, (seed, name)
-                assert _threshold(nbr, labels, k, expected, 0, mode) == (expected, None), (seed, name)
+            # the witness of the stage-3 loop, from the search above the all-max labeling
+            witness = _first_optimum(ctx, g, *_threshold(ctx, max(labels) * g.n + 1, 0))
+            expected = sum(witness)
+            assert _threshold(ctx, weight, 0)[0] == expected, (seed, name)
+            # from one above the optimum it finds the optimum; from the optimum it
+            # proves it: from the root and from every prefix of the witness
+            for state in _prefixes(ctx, order, witness):
+                assert _threshold(ctx, expected + 1, 0, state)[0] == expected, (seed, name)
+                assert _threshold(ctx, expected, 0, state) == (expected, None), (seed, name)
 
 
 def test_threshold_value_handles_deep_searches():
@@ -479,9 +504,13 @@ def test_threshold_value_handles_deep_searches():
     nbr, order = _neighbor_masks(g), _bfs_order(g)
     for name, value in (("gamma", 1502), ("gamma_r2", 1504), ("gamma_dr", 3006)):
         labels, k = _THRESHOLD[name][:2]
-        for mode in (None, order):
-            assert _threshold(nbr, labels, k, max(labels) * g.n + 1, 0, mode)[0] == value, name
-            assert _threshold(nbr, labels, k, value, 0, mode)[0] == value, name
+        ctx = _context(nbr, labels, k)
+        witness = _first_optimum(ctx, g, *_threshold(ctx, max(labels) * g.n + 1, 0))
+        assert sum(witness) == value, name
+        # from the root and from the witness fixed on the double star, order[:6]
+        for state in list(_prefixes(ctx, order[:6], witness))[::6]:
+            assert _threshold(ctx, max(labels) * g.n + 1, 0, state)[0] == value, name
+            assert _threshold(ctx, value, 0, state)[0] == value, name
 
 
 def test_threshold_labels_start_with_zero():
@@ -529,8 +558,9 @@ def test_gamma_dr_is_at_least_gamma_r2_plus_gamma(g):
 
 
 def test_floors_do_not_change_the_threshold_searches():
-    # the witness of `_solve` (from the value + 1, ended at the value) is what
-    # the search finds from the incumbent with no floor
+    # the witness of `_solve` (stage 2 under the γ_R2 + γ floor, every stage-3
+    # test ended at the value) is what the stage-3 loop makes of the search
+    # from the incumbent with no floor
     names = ["gamma", "gamma_r2", "gamma_dr"]
     for seed in range(60):
         g = random_graph(6 + seed % 9, (0.1, 0.2, 0.35)[seed // 9 % 3], seed)
@@ -539,8 +569,71 @@ def test_floors_do_not_change_the_threshold_searches():
         for name in names:
             labels, k, start, _ = _THRESHOLD[name]
             weight, incumbent = found[start]
-            value, vals = _threshold(nbr, labels, k, weight, 0, order)
+            ctx = _context(nbr, labels, k)
+            value, vals = _threshold(ctx, weight, 0)
+            if vals:
+                vals = _first_optimum(ctx, g, value, vals)
             assert found[name] == (value, vals or incumbent), (seed, name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=graphs(max_n=7))
+@example(g=build_graph(2, [(0, 1)]))  # from [1, 1], γ_R2 must test 0 before 2
+def test_stage_three_ignores_its_start_labeling(g):
+    # from every optimal labeling the stage-3 loop reaches the first one
+    nbr, order = _neighbor_masks(g), _bfs_order(g)
+    for labels, k, *_ in _THRESHOLD.values():
+        ctx = _context(nbr, labels, k)
+        first = oracles.first_threshold_labeling(g.n, g.edges, labels, k, order)
+        optima = [vals for vals in oracles.threshold_labelings(g.n, g.edges, labels, k)
+                  if sum(vals) == first[0]]
+        for vals in optima:
+            assert _first_optimum(ctx, g, first[0], vals) == first[1], (labels, vals)
+
+
+def test_stage_three_tests_end_at_the_value(monkeypatch):
+    # every test searches from value + 1 and stops at its first labeling of the
+    # optimal weight: with a lower floor it would search on for a lighter one
+    calls = []
+
+    def recording(ctx, best, floor, start):
+        calls.append((best, floor))
+        return _threshold(ctx, best, floor, start)
+
+    monkeypatch.setattr("idrd.solvers._threshold", recording)
+    g = random_graph(16, 0.2, 3)
+    nbr = _neighbor_masks(g)
+    for labels, k, *_ in _THRESHOLD.values():
+        ctx = _context(nbr, labels, k)
+        value, vals = _threshold(ctx, max(labels) * g.n + 1, 0)
+        calls.clear()
+        _first_optimum(ctx, g, value, vals)
+        assert calls and set(calls) == {(value + 1, value)}, labels
+
+
+# The graphs of the hard corpus on which stage 3 runs, but for 5 × S(2,2),
+# which `test_disjoint_double_stars_are_fast` pins: order 24 to 30, where a
+# witness search that branches in BFS order takes seconds.
+_HARD_CORPUS = (
+    (random_graph, 24, 0.1, 1), (random_graph, 24, 0.1, 2), (random_graph, 24, 0.12, 1),
+    (random_graph, 24, 0.2, 3), (random_graph, 24, 0.25, 1), (random_graph, 24, 0.25, 2),
+    (random_graph, 24, 0.25, 3), (random_graph, 24, 0.3, 2), (random_graph, 28, 0.1, 1258),
+    (random_tree, 30, 2),
+)
+
+
+def test_hard_corpus_witnesses_are_pinned(monkeypatch):
+    monkeypatch.setenv("IDRD_SIZE_LIMIT", "40")
+    copy = double_star(2, 2).edges
+    corpus = [make(*args) for make, *args in _HARD_CORPUS]
+    corpus.append(build_graph(24, [(u + 6 * c, v + 6 * c) for c in range(4) for u, v in copy]))
+    rows = []
+    for g in corpus:
+        table = compute_invariants(g, ["gamma", "gamma_r2", "gamma_dr"])
+        witnesses = {name: list(getattr(w, "values", w)) for name, w in table.witnesses.items()}
+        rows.append([table.entries, witnesses])
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == "444fceba72ec99e124ed92b2af9134fde10a0e41d9d5bc237b601ee5c20d7c41"
 
 
 def test_request_order_does_not_change_the_plain_numbers():
