@@ -366,3 +366,55 @@ def first_threshold_labeling(n, edges, labels, k, order):
         if all(x or sum(vals[u] for u in adj[v]) >= k for v, x in enumerate(vals)):
             best = (sum(vals), vals)
     return best
+
+
+def _component_orders(adj, n, gone):
+    """Orders of the components of the graph minus vertex `gone`."""
+    seen = {gone}
+    orders = []
+    for root in range(n):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, size = [root], 0
+        while stack:
+            v = stack.pop()
+            size += 1
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        orders.append(size)
+    return orders
+
+
+def tree_family(n, edges):
+    """(membership, parameters) of a tree of order >= 2 against the two
+    families, read straight from their definitions.
+
+    T_family: some vertex whose deletion leaves only components of order 1
+    or 2; the vertices are tried by descending degree, ties by index, and the
+    first that qualifies gives (n, number of 2-vertex components).
+    F_family: isomorphic to the subdivided double star S(r, s), r <= s, of
+    order 2(r + s) + 3, built here and compared by `tree_certificate`.
+    """
+    adj = adjacency(n, edges)
+    for c in sorted(range(n), key=lambda v: (-len(adj[v]), v)):
+        orders = _component_orders(adj, n, c)
+        if all(size <= 2 for size in orders):
+            return ("T_family", (n, orders.count(2)))
+    if n >= 7 and n % 2 == 1:
+        cert = tree_certificate(n, edges)
+        total = (n - 3) // 2
+        for r in range(1, total // 2 + 1):
+            s = total - r
+            # centers 0 and 1 joined through 2; each branch is hub - x - leaf
+            sub = [(0, 2), (1, 2)]
+            nxt = 3
+            for hub, count in ((0, r), (1, s)):
+                for _ in range(count):
+                    sub += [(hub, nxt), (nxt, nxt + 1)]
+                    nxt += 2
+            if tree_certificate(n, sub) == cert:
+                return ("F_family", (r, s))
+    return ("neither", None)

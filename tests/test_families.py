@@ -1,9 +1,11 @@
 """Family specs, generators, closed forms, tree classes, pair realization."""
 
-import pytest
-from hypothesis import given, settings
+from itertools import product
 
-from idrd import build_graph, idn, idrdn, ir2dn, tree_idn, tree_idrdn
+import pytest
+from hypothesis import example, given, settings
+
+from idrd import build_graph, idn, idrdn, ir2dn, prufer_decode, tree_idn, tree_idrdn
 from idrd.families import (
     KINDS,
     DomainError,
@@ -19,11 +21,15 @@ from idrd.families import (
 
 from conftest import cycle_graph, double_star, path_graph, star_graph, trees
 
-from oracles import tree_certificate
+from oracles import tree_certificate, tree_family
 
 
 def certificate(g):
     return tree_certificate(g.n, g.edges)
+
+
+def relabeled(g, perm):
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +270,33 @@ def test_classification_recovers_an_isomorphic_tree(t):
         assert certificate(rebuilt) == certificate(t)
     else:
         assert got.parameters is None
+
+
+def family_of(t):
+    got = classify_tree(t)
+    return (got.membership, got.parameters)
+
+
+def test_classify_matches_the_family_oracle_on_every_small_labeled_tree():
+    count = 0
+    for n in range(2, 7):
+        for code in product(range(n), repeat=n - 2):
+            t = prufer_decode(n, code)
+            assert family_of(t) == tree_family(t.n, t.edges), (n, code)
+            count += 1
+    assert count == 1441
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees(min_n=2, max_n=14))
+@example(relabeled(path_graph(7), [3, 6, 0, 5, 1, 4, 2]))
+@example(relabeled(generate(FamilySpec("subdivided_double_star", (2, 3))),
+                   [12, 0, 7, 3, 9, 1, 11, 5, 2, 10, 4, 8, 6]))
+@example(generate(FamilySpec("subdivided_double_star", (1, 4))))
+@example(relabeled(generate(FamilySpec("subdivided_star", (9, 3))),
+                   [8, 2, 5, 0, 7, 3, 1, 6, 4]))
+def test_classify_matches_the_family_oracle(t):
+    assert family_of(t) == tree_family(t.n, t.edges)
 
 
 def test_members_satisfy_the_gap_one_identity():
