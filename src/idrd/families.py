@@ -225,10 +225,14 @@ def _recognize_center_tree(t: Graph) -> tuple | None:
     """Parameters (k, j) when some vertex c leaves only 1- or 2-vertex
     components behind; candidates are scanned by descending degree (a stable
     sort, so ties stay ascending) so the parameters describe the most
-    star-like center."""
-    adj = t.adj
-    degree = [len(nb) for nb in adj]
-    for c in sorted(range(t.n), key=degree.__getitem__, reverse=True):
+    star-like center.
+
+    Such a c leaves deg(c) components of order at most 2, so n - 1 <= 2 deg(c).
+    The degrees sum to 2(n - 1), so at most four vertices meet that bound, and
+    only they are sorted and tested: O(n) in all."""
+    adj, low = t.adj, t.n - 1
+    wide = [c for c, nb in enumerate(adj) if 2 * len(nb) >= low]
+    for c in sorted(wide, key=lambda c: len(adj[c]), reverse=True):
         arms = [_arm(adj, c, x) for x in adj[c]]
         if all(arms):
             return (t.n, arms.count(2))

@@ -1,11 +1,23 @@
 """Family specs, generators, closed forms, tree classes, pair realization."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
 
-from idrd import build_graph, idn, idrdn, ir2dn, prufer_decode, tree_idn, tree_idrdn
+from idrd import (
+    build_graph,
+    families,
+    idn,
+    idrdn,
+    ir2dn,
+    prufer_decode,
+    random_tree,
+    tree_idn,
+    tree_idrdn,
+    tree_ir2dn,
+)
 from idrd.families import (
     KINDS,
     DomainError,
@@ -297,6 +309,65 @@ def test_classify_matches_the_family_oracle_on_every_small_labeled_tree():
                    [8, 2, 5, 0, 7, 3, 1, 6, 4]))
 def test_classify_matches_the_family_oracle(t):
     assert family_of(t) == tree_family(t.n, t.edges)
+
+
+def test_center_search_tests_arms_only_at_wide_vertices(monkeypatch):
+    # a center needs n - 1 <= 2 deg(c), so a random tree has no candidate and
+    # a subdivided star has one, its center
+    calls = []
+    arm = families._arm
+
+    def counted(adj, hub, x):
+        calls.append(hub)
+        return arm(adj, hub, x)
+
+    monkeypatch.setattr(families, "_arm", counted)
+    for seed in range(5):
+        t = random_tree(3000, seed)
+        assert t.max_degree() < 1499, seed
+        calls.clear()
+        assert families._recognize_center_tree(t) is None
+        assert calls == [], seed
+    calls.clear()
+    star = generate(FamilySpec("subdivided_star", (3001, 1000)))
+    assert families._recognize_center_tree(star) == (3001, 1000)
+    assert len(calls) == 2000 and set(calls) == {0}
+
+
+def free_trees(max_n):
+    """One edge list per free tree of each order 1..max_n, grown one leaf at
+    a time from the trees one order below and deduplicated by certificate."""
+    levels = [[()]]
+    for n in range(2, max_n + 1):
+        seen = {}
+        for edges in levels[-1]:
+            for v in range(n - 1):
+                grown = edges + ((v, n - 1),)
+                seen.setdefault(tree_certificate(n, grown), grown)
+        levels.append(list(seen.values()))
+    return levels
+
+
+def test_free_tree_scan_to_order_thirteen():
+    # every free tree once (OEIS A000055); labeling invariance is left to
+    # acceptance 6, whose Prüfer loop sees every labeled copy up to order 7
+    levels = free_trees(13)
+    assert [len(level) for level in levels] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301]
+    gap_one_outside = Counter()
+    for n, level in enumerate(levels[1:], start=2):
+        for edges in level:
+            t = build_graph(n, edges)
+            i, i_r2, i_dr = tree_idn(t), tree_ir2dn(t), tree_idrdn(t)
+            assert i + 1 <= i_r2, ("B9", edges)
+            assert 2 * i + 1 <= i_dr, ("B10-lower", edges)
+            assert i_dr <= 3 * i, ("B10-upper", edges)
+            if classify_tree(t).membership != "neither":
+                assert i_r2 == i + 1, edges
+            elif i_r2 == i + 1:
+                gap_one_outside[n] += 1
+    assert [gap_one_outside[n] for n in range(2, 14)] == [
+        0, 0, 0, 0, 1, 1, 3, 3, 7, 7, 13, 13]
 
 
 def test_members_satisfy_the_gap_one_identity():

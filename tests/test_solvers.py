@@ -520,6 +520,9 @@ def test_threshold_labels_start_with_zero():
 
 @settings(max_examples=60, deadline=None)
 @given(g=graphs(max_n=7))
+# a labeled 5-cycle: stage 3 must test labels before the stage-2 labeling's
+# own to reach the first optimum for γ_R2
+@example(g=build_graph(5, [(0, 3), (0, 4), (1, 2), (1, 4), (2, 3)]))
 def test_plain_witnesses_are_the_first_optimal_labelings(g):
     # the incumbent if it is optimal, else the first optimum in the order of
     # the witness search: BFS order, each vertex taking its labels in turn
