@@ -48,7 +48,6 @@ from .solvers import (
     SizeLimitError,
     admit,
     compute_invariants,
-    idrdn,
     resolve_limit,
     tree_idn,
     tree_idrdn,
@@ -151,8 +150,9 @@ def _cmd_family(args) -> int:
     if args.mode in ("formula", "both"):
         payload["formula"] = formula_idrdn(spec)
     if args.mode in ("solve", "both"):
-        admit(spec.order, ["idrdn"])
-        payload["solver"] = idrdn(generate(spec))[0]
+        admit(spec.order, ["idrdn"])  # before the graph is built
+        table = compute_invariants(generate(spec), ["idrdn"], witnesses=False)
+        payload["solver"] = table.entries["idrdn"]
     if args.mode == "both":
         payload["agree"] = payload["formula"] == payload["solver"]
     digest = _digest(spec.text())

@@ -133,15 +133,6 @@ def resolve_limit() -> int:
     return limit
 
 
-def _guard(order: int) -> None:
-    limit = resolve_limit()
-    if order > limit:
-        raise SizeLimitError(
-            f"graph order {order} exceeds the exact-solver limit {limit} "
-            f"(set IDRD_SIZE_LIMIT to override)"
-        )
-
-
 def _require_vertices(g: Graph) -> None:
     if g.n == 0:
         raise ValueError("solver needs at least one vertex")
@@ -476,14 +467,10 @@ def _solve(g: Graph, names, nbr: list, witnesses: bool = True) -> dict:
     return found
 
 
-def _positive_set(vals) -> frozenset:
-    return frozenset(v for v, x in enumerate(vals) if x)
-
-
-# name -> witness type built from the label per vertex
+# name -> witness built from the label per vertex: the positive vertices, or a labeling
 _WITNESS = {
-    "gamma": _positive_set,
-    "idn": _positive_set,
+    "gamma": lambda vals: tuple(v for v, x in enumerate(vals) if x),
+    "idn": lambda vals: tuple(v for v, x in enumerate(vals) if x),
     "gamma_r2": R2Labeling,
     "ir2dn": R2Labeling,
     "i2rdn": RainbowLabeling,
@@ -495,46 +482,48 @@ _WITNESS = {
 _EXPONENTIAL = frozenset(_WITNESS) | {"packing"}
 
 
-def _exact(g: Graph, name: str):
-    _guard(g.n)
-    _require_vertices(g)
-    weight, vals = _solve(g, (name,), _neighbor_masks(g))[name]
-    return weight, _WITNESS[name](vals)
+# Each public number below is `compute_invariants` for its one name, which
+# owns the guard, the checks and the witness; the value-only ones search no
+# witness.
 
 
 def idrdn(g: Graph) -> tuple[int, DRLabeling]:
     """Independent double Roman domination number with an optimal labeling."""
-    return _exact(g, "idrdn")
+    table = compute_invariants(g, ["idrdn"])
+    return table.entries["idrdn"], table.witnesses["idrdn"]
 
 
 def idn(g: Graph) -> tuple[int, frozenset]:
     """Independent domination number with a minimum maximal independent set."""
-    return _exact(g, "idn")
+    table = compute_invariants(g, ["idn"])
+    return table.entries["idn"], frozenset(table.witnesses["idn"])
 
 
 def ir2dn(g: Graph) -> tuple[int, R2Labeling]:
     """Independent Roman {2} domination number with an optimal labeling."""
-    return _exact(g, "ir2dn")
+    table = compute_invariants(g, ["ir2dn"])
+    return table.entries["ir2dn"], table.witnesses["ir2dn"]
 
 
 def i2rdn(g: Graph) -> tuple[int, RainbowLabeling]:
     """Independent 2-rainbow domination number with an optimal labeling."""
-    return _exact(g, "i2rdn")
+    table = compute_invariants(g, ["i2rdn"])
+    return table.entries["i2rdn"], table.witnesses["i2rdn"]
 
 
 def domination_number(g: Graph) -> int:
     """Exact domination number γ(g)."""
-    return _exact(g, "gamma")[0]
+    return compute_invariants(g, ["gamma"], witnesses=False).entries["gamma"]
 
 
 def gamma_r2(g: Graph) -> int:
     """Exact Roman {2} domination number γ_{R2}(g)."""
-    return _exact(g, "gamma_r2")[0]
+    return compute_invariants(g, ["gamma_r2"], witnesses=False).entries["gamma_r2"]
 
 
 def gamma_dr(g: Graph) -> int:
     """Exact double Roman domination number γ_{dR}(g)."""
-    return _exact(g, "gamma_dr")[0]
+    return compute_invariants(g, ["gamma_dr"], witnesses=False).entries["gamma_dr"]
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +532,15 @@ def gamma_dr(g: Graph) -> int:
 
 
 def packing_number(g: Graph) -> tuple[int, frozenset]:
-    """Maximum 2-packing (pairwise disjoint closed neighborhoods) with witness.
+    """Maximum 2-packing (pairwise disjoint closed neighborhoods) with the
+    lexicographically smallest maximum packing as witness, by `_packing`."""
+    table = compute_invariants(g, ["packing"])
+    return table.entries["packing"], frozenset(table.witnesses["packing"])
+
+
+def _packing(g: Graph, nbr: list) -> tuple[int, int]:
+    """(size, member bitmask) of a maximum 2-packing, with `nbr` the graph's
+    `_neighbor_masks`.
 
     A set is a packing iff no two members are within distance 2, so this is a
     maximum independent set of the square graph, found by the include-first
@@ -552,19 +549,9 @@ def packing_number(g: Graph) -> tuple[int, frozenset]:
     ascending order, a branch cut when its size plus its candidates cannot
     beat the best, the best replaced only by a strictly larger set.  Two
     maximum sets are never prefixes of each other, so the search meets them
-    in lexicographic order, and the witness is the lexicographically
+    in lexicographic order, and the members are the lexicographically
     smallest maximum packing.
     """
-    _guard(g.n)
-    _require_vertices(g)
-    size, members = _packing(g, _neighbor_masks(g))
-    return size, frozenset(_bits(members))
-
-
-def _packing(g: Graph, nbr: list) -> tuple[int, int]:
-    """(size, member bitmask) of `packing_number`'s packing, with `nbr` the
-    graph's `_neighbor_masks`, for callers that checked the guard and the
-    order."""
     closed = [nb | (1 << v) for v, nb in enumerate(nbr)]
     reach = []  # reach[v]: the vertices within distance 2 of v, v included
     for v, nb in enumerate(g.adj):
@@ -705,16 +692,15 @@ def _matching_partners(g: Graph) -> tuple:
 
 def max_matching(g: Graph) -> int:
     """Maximum matching size α'(g) (exact on general graphs)."""
-    _require_vertices(g)
-    return (g.n - _matching_partners(g).count(-1)) // 2
+    return compute_invariants(g, ["max_matching"], witnesses=False).entries["max_matching"]
 
 
 def min_edge_cover(g: Graph) -> int:
     """Minimum edge cover size β'(g) = n - α'(g); needs no isolated vertices."""
-    _require_vertices(g)
-    if g.has_isolated_vertex():
-        raise ValueError("edge cover undefined: graph has an isolated vertex")
-    return g.n - max_matching(g)
+    table = compute_invariants(g, ["min_edge_cover"], witnesses=False)
+    if table.not_applicable:
+        raise ValueError(f"edge cover undefined: {table.not_applicable['min_edge_cover']}")
+    return table.entries["min_edge_cover"]
 
 
 def _matched_edges(g: Graph) -> tuple:
@@ -825,13 +811,19 @@ class InvariantTable:
 def admit(order: int, which=None) -> list:
     """The requested invariant names (all for None), checked before a graph
     of `order` vertices is built: unknown names raise ValueError, and an
-    exponential name on a graph above the limit raises SizeLimitError."""
+    exponential name on a graph above the limit raises SizeLimitError.  The
+    limit is read only for an exponential name."""
     names = list(INVARIANT_NAMES if which is None else which)
     for name in names:
         if name not in INVARIANT_NAMES:
             raise ValueError(f"unknown invariant {name!r}")
     if _EXPONENTIAL.intersection(names):
-        _guard(order)
+        limit = resolve_limit()
+        if order > limit:
+            raise SizeLimitError(
+                f"graph order {order} exceeds the exact-solver limit {limit} "
+                f"(set IDRD_SIZE_LIMIT to override)"
+            )
     return names
 
 
@@ -871,10 +863,7 @@ def compute_invariants(g: Graph, which=None, *, witnesses: bool = True) -> Invar
                 exact = _solve(g, [x for x in names if x in _WITNESS], nbr, witnesses)
             table.entries[name], vals = exact[name]
             if witnesses:
-                witness = _WITNESS[name](vals)
-                table.witnesses[name] = (
-                    tuple(sorted(witness)) if isinstance(witness, frozenset) else witness
-                )
+                table.witnesses[name] = _WITNESS[name](vals)
         elif name == "min_edge_cover" and g.n > 0 and g.has_isolated_vertex():
             table.not_applicable[name] = "graph has an isolated vertex"
         else:

@@ -267,7 +267,7 @@ def test_matching_matches_brute(g):
 def test_solvers_need_a_vertex():
     g = empty_graph(0)
     for solver in (idrdn, idn, ir2dn, i2rdn, domination_number, gamma_r2,
-                   gamma_dr, packing_number):
+                   gamma_dr, packing_number, max_matching, min_edge_cover):
         with pytest.raises(ValueError, match="at least one vertex"):
             solver(g)
 
@@ -971,6 +971,26 @@ def test_polynomial_solvers_are_not_guarded():
     assert min_edge_cover(long_path) == 30
     assert tree_idrdn(long_path) == 60
     assert tree_ir2dn(long_path) == 31
+
+
+def test_a_bad_limit_fails_only_the_guarded_requests(monkeypatch):
+    monkeypatch.setenv("IDRD_SIZE_LIMIT", "abc")
+    t = path_graph(7)
+    assert (max_matching(t), min_edge_cover(t), tree_idn(t)) == (3, 4, 3)
+    table = compute_invariants(t, ["order", "max_matching", "min_edge_cover"])
+    assert table.entries == {"order": 7, "max_matching": 3, "min_edge_cover": 4}
+    for solver in (idn, domination_number):
+        with pytest.raises(ValueError, match="must be an integer, got 'abc'"):
+            solver(t)
+
+
+def test_value_only_solvers_search_no_witness(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("witness search in a value-only solver")
+
+    monkeypatch.setattr("idrd.solvers._first_optimum", refuse)
+    g = double_star(2, 2)  # gamma < idn and gamma_dr < idrdn: stage 3 would run
+    assert (domination_number(g), gamma_r2(g), gamma_dr(g)) == (2, 4, 6)
 
 
 # ---------------------------------------------------------------------------
