@@ -62,35 +62,35 @@ class FamilySpec:
         if any(x < 0 for x in params):
             raise ValueError("family parameters must be non-negative integers")
 
-        def need(count, cond=True, msg=""):
-            if len(params) != count:
-                raise ValueError(f"{kind} takes {count} parameter(s)")
-            if not cond:
-                raise ValueError(f"invalid {kind} parameters {params}: {msg}")
-
-        if kind in ("path", "complete"):
-            need(1, params[0] >= 1, "order must be >= 1")
-        elif kind == "cycle":
-            need(1, params[0] >= 3, "order must be >= 3")
-        elif kind == "complete_multipartite":
+        if kind == "complete_multipartite":
             if len(params) < 2:
                 raise ValueError("complete_multipartite takes at least 2 part sizes")
             if any(x < 1 for x in params):
                 raise ValueError("part sizes must be >= 1")
             if list(params) != sorted(params):
                 raise ValueError("part sizes must be sorted ascending")
+            return
+        # the count comes first: the conditions below read the parameters
+        count = 2 if kind in ("double_star", "subdivided_star", "subdivided_double_star") else 1
+        if len(params) != count:
+            raise ValueError(f"{kind} takes {count} parameter(s)")
+
+        def need(cond, msg):
+            if not cond:
+                raise ValueError(f"invalid {kind} parameters {params}: {msg}")
+
+        if kind in ("path", "complete"):
+            need(params[0] >= 1, "order must be >= 1")
+        elif kind == "cycle":
+            need(params[0] >= 3, "order must be >= 3")
         elif kind == "star":
-            need(1, params[0] >= 1, "leaf count must be >= 1")
+            need(params[0] >= 1, "leaf count must be >= 1")
         elif kind in ("double_star", "subdivided_double_star"):
-            need(2, 1 <= params[0] <= params[1], "needs 1 <= r <= s")
+            need(1 <= params[0] <= params[1], "needs 1 <= r <= s")
         elif kind == "subdivided_star":
-            need(
-                2,
-                params[0] >= 2 and params[0] >= 2 * params[1] + 1,
-                "needs k >= 2 and k >= 2j+1",
-            )
+            need(params[0] >= 2 and params[0] >= 2 * params[1] + 1, "needs k >= 2 and k >= 2j+1")
         elif kind == "corona_of_star":
-            need(1, params[0] >= 1, "star size must be >= 1")
+            need(params[0] >= 1, "star size must be >= 1")
 
     @property
     def order(self) -> int:

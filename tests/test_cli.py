@@ -289,6 +289,11 @@ def test_family_domain_and_input_errors(capsys):
     assert code == 2 and "unknown family kind" in err
     code, _, err = run(["family", "kpartite:2,1"], capsys)
     assert code == 2 and "sorted ascending" in err
+    for spec in ("subdivstar:4", "doublestar:1", "subdivdoublestar:2"):
+        code, out, err = run(["family", spec, "--json"], capsys)
+        assert code == 2 and out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and line.endswith(" takes 2 parameter(s)")
     with pytest.raises(SystemExit):
         main(["family", "path:5", "quickly"])
 

@@ -106,6 +106,10 @@ def test_spec_validation():
         FamilySpec("subdivided_star", (4, 2))
     with pytest.raises(ValueError, match="star size must be >= 1"):
         FamilySpec("corona_of_star", (0,))
+    # the count is checked before any condition reads a parameter
+    for kind in KINDS:
+        with pytest.raises(ValueError):
+            FamilySpec(kind, ())
 
 
 # ---------------------------------------------------------------------------
