@@ -42,7 +42,7 @@ from .families import (
     parse_family_spec,
     realize,
 )
-from .graph import build_graph, parse_edges, serialize_edge_list
+from .graph import _from_parsed, parse_edges, serialize_edge_list
 from .labelings import DRLabeling, RainbowLabeling
 from .solvers import (
     SizeLimitError,
@@ -123,7 +123,7 @@ def _cmd_solve(args) -> int:
     n, edges = _read_edges(args.input)
     which = None if args.invariants is None else args.invariants.split(",")
     admit(n, which)  # before the graph is built
-    g = build_graph(n, edges)
+    g = _from_parsed(n, edges)
     table = compute_invariants(g, which, witnesses=args.witness)
     digest = _digest(serialize_edge_list(g))
     payload = {
@@ -172,7 +172,7 @@ def _cmd_classify(args) -> int:
     # rule out a tree before the graph is built.
     if n and len(edges) < n - 1:
         raise DomainError("input is not a tree")
-    g = build_graph(n, edges)
+    g = _from_parsed(n, edges)
     result = classify_tree(g)
     diff = tree_ir2dn(g) - tree_idn(g)
     digest = _digest(serialize_edge_list(g))
@@ -227,7 +227,7 @@ def _cmd_realize(args) -> int:
 def _cmd_bounds(args) -> int:
     n, edges = _read_edges(args.input)
     admit(n)  # check_bounds reads exponential invariants
-    g = build_graph(n, edges)
+    g = _from_parsed(n, edges)
     records = check_bounds(g)
     digest = _digest(serialize_edge_list(g))
     if args.json:

@@ -5,6 +5,8 @@ lines starting with '#' and blank lines are ignored, the first data line is
 "n m", and exactly m data lines "u v" follow.  `serialize_edge_list` emits a
 canonical form (edges sorted, u < v, trailing newline) so that
 parse(serialize(g)) == g and byte-identical output is reproducible.
+Text is validated once, by `parse_edges`, which emits (min, max) pairs that
+the graph is built from unchecked; `Graph(n, edges)` validates Python pairs.
 """
 
 import operator
@@ -21,11 +23,13 @@ class Graph:
 
     Construct through :func:`build_graph` (or the parser / generators); the
     constructor validates endpoints, rejects self-loops, and deduplicates.
-    ``adj[v]`` is the sorted tuple of v's neighbors, for reading only;
-    :meth:`adjacency` is the same with a range check on v.
+    ``n``, the edge count ``m`` and ``adj`` are stored: ``adj[v]`` is the
+    sorted tuple of v's neighbors, for reading only, and :meth:`adjacency`
+    is the same with a range check on v.  ``edges``, the sorted (u, v)
+    pairs with u < v, is built from ``adj`` on first read.
     """
 
-    __slots__ = ("n", "edges", "adj", "_match")
+    __slots__ = ("n", "m", "adj", "_edges", "_match", "_rooted")
 
     def __init__(self, n: int, edges):
         index = operator.index  # ints only: no float, str or other int() conversion
@@ -51,21 +55,29 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {u}")
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             canon.add((lo, hi))
-        self.n = n
-        self.edges = tuple(sorted(canon))
-        # sorted edges give each vertex its smaller, then its larger neighbors in order
+        self._build(n, canon)
+
+    def _build(self, n: int, canon: set) -> None:
+        """Store n and the adjacency of the distinct (lo, hi) pairs `canon`."""
         adj = [[] for _ in range(n)]
-        for u, v in self.edges:
+        for u, v in canon:
             adj[u].append(v)
             adj[v].append(u)
+        for nb in adj:
+            nb.sort()
+        self.n, self.m = n, len(canon)
         self.adj = tuple(map(tuple, adj))
-        self._match = None  # maximum-matching partners, kept by the solvers
+        # edges, and the matching partners and rooted tree kept by the solvers
+        self._edges = self._match = self._rooted = None
 
     # -- basic queries ----------------------------------------------------
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple:
+        """The sorted (u, v) pairs, u < v, built from adj on first read."""
+        if self._edges is None:
+            self._edges = tuple([(u, v) for u, nb in enumerate(self.adj) for v in nb if u < v])
+        return self._edges
 
     def adjacency(self, v: int) -> tuple:
         """Neighbors of v as a sorted tuple (deterministic iteration order)."""
@@ -83,7 +95,7 @@ class Graph:
         return min(len(nb) for nb in self.adj)
 
     def has_isolated_vertex(self) -> bool:
-        return self.n > 0 and self.min_degree() == 0
+        return not all(self.adj)
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.n):
@@ -124,10 +136,10 @@ class Graph:
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj  # adj has n entries
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
@@ -161,14 +173,21 @@ def build_graph(n: int, edges) -> Graph:
 
 def parse_edge_list(text: str) -> Graph:
     """Parse the "n m" + m x "u v" edge-list format (see module docstring)."""
-    return Graph(*parse_edges(text))
+    return _from_parsed(*parse_edges(text))
+
+
+def _from_parsed(n: int, pairs) -> Graph:
+    """The graph of `parse_edges` output, checked and (min, max): only deduplicated."""
+    g = Graph.__new__(Graph)
+    g._build(n, set(pairs))
+    return g
 
 
 def parse_edges(text: str) -> tuple[int, list]:
-    """Validate edge-list text into (n, edges) without building the graph,
-    so callers can check n before paying for it."""
+    """Validate edge-list text into (n, edges), each edge as (min, max),
+    without building the graph, so callers can check n before paying for it."""
     lines = map(str.strip, text.splitlines())
-    data_lines = [line for line in lines if line and not line.startswith("#")]
+    data_lines = [line for line in lines if line and line[0] != "#"]
     if not data_lines:
         raise EdgeListParseError("missing header line 'n m'")
     header = data_lines[0].split()
@@ -196,7 +215,7 @@ def parse_edges(text: str) -> tuple[int, list]:
             raise EdgeListParseError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(f"edge ({u}, {v}) out of range for n={n}")
-        edges.append((u, v))
+        edges.append((u, v) if u < v else (v, u))
     return n, edges
 
 

@@ -723,18 +723,19 @@ def _edge_cover_edges(g: Graph, matched: tuple) -> tuple:
 
 
 def _rooted_order(t: Graph) -> tuple[list, list]:
-    """(parent, BFS order) of t rooted at 0, the root's parent being n, from
-    one search that is also the tree test: with n - 1 edges, t is a tree iff
-    the search reaches every vertex.  Raises ValueError otherwise."""
-    n = t.n
-    if n == 0:
-        raise ValueError("tree test of an empty graph is undefined")
-    if t.m != n - 1:
-        raise ValueError("input is not a tree")
-    parent, order = bfs(t)
-    if len(order) != n:
-        raise ValueError("input is not a tree")
-    return parent, order
+    """(parent, BFS order) of t rooted at 0, the root's parent being n, kept on t
+    for its DPs to share, read only.  One search is also the tree test: with
+    n - 1 edges, t is a tree iff it reaches every vertex; else ValueError."""
+    if t._rooted is None:
+        if t.n == 0:
+            raise ValueError("tree test of an empty graph is undefined")
+        if t.m != t.n - 1:
+            raise ValueError("input is not a tree")
+        parent, order = bfs(t)
+        if len(order) != t.n:
+            raise ValueError("input is not a tree")
+        t._rooted = parent, order
+    return t._rooted
 
 
 def _tree_mis_number(t: Graph, weak: int, strong: int) -> int:

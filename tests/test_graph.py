@@ -16,7 +16,7 @@ from idrd import (
     serialize_edge_list,
 )
 
-from idrd.graph import bfs
+from idrd.graph import bfs, parse_edges
 
 from conftest import complete_graph, cycle_graph, empty_graph, graphs, path_graph, trees
 
@@ -76,6 +76,14 @@ def test_neighbor_tuples_survive_shuffled_reversed_and_repeated_edges(g, rng):
     assert h.adj == tuple(tuple(sorted(nb)) for nb in neighbors)
     assert h.edges == tuple(sorted({(min(e), max(e)) for e in edges}))
     assert h == g and all(u < v for u, v in h.edges)
+    # the same edges as text, among comments and blank lines, built without a second check
+    lines = [f"{u} {v}" for u, v in edges]
+    for _ in range(rng.randrange(4)):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["# note", "", "  "]))
+    text = "\n".join(["# edges", f"{g.n} {len(edges)}", *lines]) + "\n"
+    parsed, checked = parse_edge_list(text), build_graph(*parse_edges(text))
+    assert parsed == checked == h
+    assert (parsed.edges, parsed.adj, parsed.m) == (checked.edges, checked.adj, checked.m)
 
 
 def test_neighbors_degrees_and_masks():

@@ -38,6 +38,8 @@ from idrd import (
     tree_idrdn,
     tree_ir2dn,
 )
+from idrd import solvers
+from idrd.graph import bfs
 from idrd.solvers import (
     _ROOT,
     _THRESHOLD,
@@ -887,6 +889,27 @@ def test_tree_dp_rejects_non_trees_with_n_minus_one_edges():
     for tree_dp in (tree_idn, tree_ir2dn, tree_idrdn):
         with pytest.raises(ValueError, match="^tree test of an empty graph is undefined$"):
             tree_dp(empty_graph(0))
+
+
+def test_tree_dps_share_one_walk(monkeypatch):
+    walks = []
+
+    def counted_bfs(*args):
+        walks.append(args)
+        return bfs(*args)
+
+    monkeypatch.setattr(solvers, "bfs", counted_bfs)
+    # (idrdn, idn, ir2dn), as computed when each DP walked the tree itself
+    for seed, values in ((1, (306, 114, 180)), (2, (296, 110, 179)), (3, (304, 113, 180))):
+        walks.clear()
+        t = random_tree(300, seed)
+        assert (tree_idrdn(t), tree_idn(t), tree_ir2dn(t)) == values
+        assert len(walks) == 1
+    # a triangle plus an edge: n - 1 edges, so only the walk refuses it, on every call
+    g = build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    for tree_dp in (tree_idrdn, tree_idn, tree_ir2dn, tree_idrdn):
+        with pytest.raises(ValueError, match="^input is not a tree$"):
+            tree_dp(g)
 
 
 # name -> (labels, threshold k, independent[, rainbow]) of the same number as a tree labeling
