@@ -899,7 +899,7 @@ def test_tree_dps_share_one_walk(monkeypatch):
         return bfs(*args)
 
     monkeypatch.setattr(solvers, "bfs", counted_bfs)
-    # (idrdn, idn, ir2dn), as computed when each DP walked the tree itself
+    # (idrdn, idn, ir2dn) of each tree, pinned
     for seed, values in ((1, (306, 114, 180)), (2, (296, 110, 179)), (3, (304, 113, 180))):
         walks.clear()
         t = random_tree(300, seed)
