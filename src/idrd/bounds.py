@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .graph import Graph, random_graph, random_tree, serialize_edge_list
 from .rng import SplitMix64
-from .solvers import compute_invariants, resolve_limit
+from .solvers import _tree_walk, compute_invariants, resolve_limit
 
 # Every bound record in report order: (name, anchor, applicability, relation).
 _RECORDS = (
@@ -102,9 +102,12 @@ def check_bounds(g: Graph) -> list:
     if g.n == 0:
         raise ValueError("bound checks need at least one vertex")
     table = compute_invariants(g, _BOUND_INVARIANTS, witnesses=False)
-    connected = g.is_connected()
+    # the walk the table kept: with n - 1 edges, connected means a tree, and
+    # fewer edges cannot connect n vertices
+    tree = bool(_tree_walk(g))
+    connected = tree or g.m >= g.n and g.is_connected()
     tree_reason = None
-    if not (connected and g.m == g.n - 1):
+    if not tree:
         tree_reason = "not a tree"
     elif g.n < 2:
         tree_reason = "single-vertex tree"

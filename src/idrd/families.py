@@ -25,6 +25,7 @@ that is not a tree, an inadmissible pair) raises DomainError, a ValueError.
 from dataclasses import dataclass
 
 from .graph import Graph, build_graph
+from .solvers import _rooted_order
 
 _SHORT_NAMES = {
     "path": "path",
@@ -266,10 +267,10 @@ def classify_tree(t: Graph) -> TreeClass:
     so no vertex qualifies as a star-like center.  T_family parameters win
     on (impossible) overlaps by construction order.
     """
-    if t.n == 0:  # where Graph.is_tree raises a plain ValueError
-        raise DomainError("tree test of an empty graph is undefined")
-    if not t.is_tree():
-        raise DomainError("input is not a tree")
+    try:
+        _rooted_order(t)  # the tree test, on the walk the tree DPs share
+    except ValueError as error:
+        raise DomainError(str(error)) from None
     if t.n < 2:
         raise DomainError("classification needs order >= 2")
     t_params = _recognize_center_tree(t)

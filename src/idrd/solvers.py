@@ -80,6 +80,18 @@ The packing number is a third, separate search: a maximum independent set of
 the square graph, by include-first branch and bound (Tarjan & Trojanowski,
 "Finding a maximum independent set", SIAM J. Comput. 6 (1977)).
 
+Trees
+-----
+A value-only request (`witnesses` false) on a tree runs none of these
+searches.  The tree test is n − 1 edges, then one walk that reaches every
+vertex, kept on the graph.  Each exponential number is then a linear-time
+min-plus DP over that walk (Telle & Proskurowski, "Algorithms for vertex
+partitioning problems on partial k-trees", SIAM J. Discrete Math. 10
+(1997)): `_tree_mis_number` for i, i_R2 and i_dR, `_tree_rainbow` for
+i_2R, `_tree_packing` for the packing number, and `_tree_threshold`, on
+`_THRESHOLD`'s (labels, k), for γ, γ_R2 and γ_dR.  Witnesses still come
+from the searches, and the size limit is the same for trees.
+
 Exact exponential solvers refuse graphs larger than 24 vertices unless the
 IDRD_SIZE_LIMIT environment variable (a non-negative integer) raises the bar.
 Witnesses from the enumeration-based solvers break ties toward the
@@ -467,7 +479,8 @@ def _solve(g: Graph, names, nbr: list, witnesses: bool = True) -> dict:
     return found
 
 
-# name -> witness built from the label per vertex: the positive vertices, or a labeling
+# name -> witness built from the label per vertex (the positive vertices, or a
+# labeling), or from the packing's member bitmask
 _WITNESS = {
     "gamma": lambda vals: tuple(v for v, x in enumerate(vals) if x),
     "idn": lambda vals: tuple(v for v, x in enumerate(vals) if x),
@@ -476,10 +489,11 @@ _WITNESS = {
     "i2rdn": RainbowLabeling,
     "gamma_dr": DRLabeling,
     "idrdn": DRLabeling,
+    "packing": lambda members: tuple(_bits(members)),
 }
 
 # Names whose computation is exponential and therefore guarded by the size limit.
-_EXPONENTIAL = frozenset(_WITNESS) | {"packing"}
+_EXPONENTIAL = frozenset(_WITNESS)
 
 
 # Each public number below is `compute_invariants` for its one name, which
@@ -722,20 +736,28 @@ def _edge_cover_edges(g: Graph, matched: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _rooted_order(t: Graph) -> tuple[list, list]:
-    """(parent, BFS order) of t rooted at 0, the root's parent being n, kept on t
-    for its DPs to share, read only.  One search is also the tree test: with
-    n - 1 edges, t is a tree iff it reaches every vertex; else ValueError."""
+def _tree_walk(t: Graph):
+    """(parent, BFS order) of t rooted at 0, the root's parent being n, when t
+    is a tree, else None.  One search is also the tree test: with n - 1
+    edges, t is a tree iff it reaches every vertex.  Its result, () for a
+    non-tree, is kept on t for the DPs and tree tests to share, read only."""
     if t._rooted is None:
-        if t.n == 0:
-            raise ValueError("tree test of an empty graph is undefined")
-        if t.m != t.n - 1:
-            raise ValueError("input is not a tree")
-        parent, order = bfs(t)
-        if len(order) != t.n:
-            raise ValueError("input is not a tree")
-        t._rooted = parent, order
-    return t._rooted
+        t._rooted = ()
+        if t.m == t.n - 1:
+            parent, order = bfs(t)
+            if len(order) == t.n:
+                t._rooted = parent, order
+    return t._rooted or None
+
+
+def _rooted_order(t: Graph) -> tuple[list, list]:
+    """`_tree_walk` of t; ValueError for an empty graph or a non-tree."""
+    if t.n == 0:
+        raise ValueError("tree test of an empty graph is undefined")
+    rooted = _tree_walk(t)
+    if rooted is None:
+        raise ValueError("input is not a tree")
+    return rooted
 
 
 def _tree_mis_number(t: Graph, weak: int, strong: int) -> int:
@@ -778,6 +800,130 @@ def _tree_mis_number(t: Graph, weak: int, strong: int) -> int:
         state[v] = (weak + below_weak, strong + below_strong, n0, n1, d)
     w, s, _, _, d = state[0]
     return (w if w < d else d) if w < s else (s if s < d else d)
+
+
+def _tree_rainbow(t: Graph) -> int:
+    """Independent 2-rainbow domination number of a tree, by dynamic
+    programming in linear time.
+
+    Labels {1}, {2}, {1,2} on an independent set, and every empty vertex
+    sees both colors among its neighbors.  Swapping the colors maps labelings
+    to labelings, so a subtree costs the same with its root {1} as {2}, and
+    with its root empty receiving {1} as {2}.  Per vertex, rooted at 0: the
+    cheapest subtree labeling with the vertex one color (its children empty,
+    receiving the other color from below) or both colors (its children
+    empty), and, with the vertex empty, by what its children send it: no
+    color, one color, both.  Impossible states start at 2n + 1, above the
+    weight of any labeling, and stay above it.
+    """
+    parent, order = _rooted_order(t)
+    adj = t.adj
+    inf = 2 * t.n + 1
+    state = [None] * t.n  # one color, both, empty receiving none, one, both; freed once read
+    for v in reversed(order):
+        up = parent[v]
+        one, both, r0, r1, r2 = 1, 2, 0, inf, inf
+        for c in adj[v]:
+            if c == up:
+                continue
+            p1, p2, e0, e1, e2 = state[c]
+            state[c] = None
+            e = e1 if e1 < e2 else e2
+            one += e
+            both += e0 if e0 < e else e
+            # r2 = min(r2 + min(e2, p1, p2), r1 + min(p1, p2), r0 + p2);
+            # r1 = min(r1 + min(e2, p1), r0 + p1); r0 += e2
+            p = p1 if p1 < p2 else p2
+            a, b, d = r2 + (e2 if e2 < p else p), r1 + p, r0 + p2
+            r2 = (a if a < d else d) if a < b else (b if b < d else d)
+            a, b = r1 + (e2 if e2 < p1 else p1), r0 + p1
+            r1 = a if a < b else b
+            r0 += e2
+        state[v] = (one, both, r0, r1, r2)
+    one, both, _, _, r2 = state[0]
+    return min(one, both, r2)
+
+
+def _tree_packing(t: Graph) -> int:
+    """Packing number of a tree, by dynamic programming in linear time.
+
+    Members lie at distance 3 or more, so a member has no member child or
+    grandchild and a non-member has at most one member child.  Per vertex,
+    rooted at 0: the largest subtree packing with the vertex in it, with it
+    out and no child in it, and with it out (no child or one child in it).
+    """
+    parent, order = _rooted_order(t)
+    adj = t.adj
+    state = [None] * t.n  # in, out with no child in, out; freed once read
+    for v in reversed(order):
+        up = parent[v]
+        inside, free, gain = 1, 0, 0
+        for c in adj[v]:
+            if c == up:
+                continue
+            a, quiet, out = state[c]
+            state[c] = None
+            inside += quiet
+            free += out
+            if a - out > gain:
+                gain = a - out
+        state[v] = (inside, free, free + gain)
+    inside, _, out = state[0]
+    return inside if inside > out else out
+
+
+def _tree_threshold(t: Graph, labels: tuple, k: int) -> int:
+    """Least weight of a labeling of a tree with values in `labels` in which
+    every 0-vertex's neighbors' labels sum to at least k, by dynamic
+    programming in linear time.
+
+    Per vertex, rooted at 0: the cheapest subtree labeling with the vertex
+    labeled x, per positive x (a 0-child then needs k − x from below), and,
+    with the vertex 0, per amount r its children send it, capped at k: first
+    for exactly r, in a min-plus step per child, then for at least r.  A
+    0-child of a 0-vertex needs k from below.  Impossible states start at
+    max(labels)·n + 1, above the weight of any labeling, and stay above it.
+    """
+    parent, order = _rooted_order(t)
+    adj = t.adj
+    positive = [x for x in labels if x]
+    need = [max(k - x, 0) for x in positive]  # what a 0-child of an x-vertex needs from below
+    sums = [[min(r + x, k) for r in range(k + 1)] for x in positive]
+    inf = max(labels) * t.n + 1
+    state = [None] * t.n  # weight per positive label, per amount received at least; freed once read
+    for v in reversed(order):
+        up = parent[v]
+        own = positive[:]
+        zero = [0] + [inf] * k
+        for c in adj[v]:
+            if c == up:
+                continue
+            sent, got = state[c]
+            state[c] = None
+            least = min(sent)
+            for i, r in enumerate(need):
+                own[i] += got[r] if got[r] < least else least
+            step = [w + got[k] for w in zero]
+            for w_c, to in zip(sent, sums):
+                for r, w in enumerate(zero):
+                    if w + w_c < step[to[r]]:
+                        step[to[r]] = w + w_c
+            zero = step
+        for r in range(k - 1, -1, -1):
+            if zero[r + 1] < zero[r]:
+                zero[r] = zero[r + 1]
+        state[v] = (own, zero)
+    own, zero = state[0]
+    return min(*own, zero[k])
+
+
+def _tree_value(t: Graph, name: str) -> int:
+    """The exponential number `name` of the tree t, by its linear-time DP."""
+    if name in _MIS_WEIGHTS:
+        return _tree_mis_number(t, *_MIS_WEIGHTS[name])
+    if name in _THRESHOLD:
+        return _tree_threshold(t, *_THRESHOLD[name][:2])
+    return _tree_rainbow(t) if name == "i2rdn" else _tree_packing(t)
 
 
 def tree_idn(t: Graph) -> int:
@@ -828,20 +974,37 @@ def admit(order: int, which=None) -> list:
     return names
 
 
+def _exact(g: Graph, names, witnesses: bool) -> dict:
+    """(value, witness data) of each requested exponential number: the label
+    per vertex, the packing's member bitmask, or None without `witnesses`.
+    A value-only request on a tree takes the tree DPs over its one walk, and
+    builds no neighbor masks; any other request runs the searches."""
+    _require_vertices(g)
+    if not witnesses and _tree_walk(g):
+        return {name: (_tree_value(g, name), None) for name in names if name in _EXPONENTIAL}
+    nbr = _neighbor_masks(g)
+    searched = _EXPONENTIAL.intersection(names) - {"packing"}
+    found = _solve(g, names, nbr, witnesses) if searched else {}
+    if "packing" in names:
+        found["packing"] = _packing(g, nbr)
+    return found
+
+
 def compute_invariants(g: Graph, which=None, *, witnesses: bool = True) -> InvariantTable:
     """Compute the requested invariants (all known ones by default).
 
-    The exact numbers share one MIS pass, and the matching and edge cover
-    share the graph's one matching.  min_edge_cover is skipped with a
-    not-applicable marker when the graph has an isolated vertex.  The names
-    are checked by `admit` first.  With `witnesses` false the table has the
-    same entries and markers but no witnesses, and no search is spent on
-    them: no tie-breaks in the MIS pass, no witness search for the plain
-    numbers, and the packing, matching and cover are counted, not listed.
+    The exact numbers share one MIS pass, or on a tree without witnesses one
+    walk (see `_exact`), and the matching and edge cover share the graph's
+    one matching.  min_edge_cover is skipped with a not-applicable marker
+    when the graph has an isolated vertex.  The names are checked by `admit`
+    first.  With `witnesses` false the table has the same entries and markers
+    but no witnesses, and no search is spent on them: no tie-breaks in the
+    MIS pass, no witness search for the plain numbers, and the packing,
+    matching and cover are counted, not listed.
     """
     names = admit(g.n, which)
     table = InvariantTable()
-    exact = nbr = matched = None
+    exact = matched = None
     for name in INVARIANT_NAMES:
         if name not in names:
             continue
@@ -852,19 +1015,11 @@ def compute_invariants(g: Graph, which=None, *, witnesses: bool = True) -> Invar
         elif name == "min_degree":
             table.entries[name] = g.min_degree()
         elif name in _EXPONENTIAL:
-            if nbr is None:
-                _require_vertices(g)
-                nbr = _neighbor_masks(g)
-            if name == "packing":
-                table.entries[name], members = _packing(g, nbr)
-                if witnesses:
-                    table.witnesses[name] = tuple(_bits(members))
-                continue
             if exact is None:
-                exact = _solve(g, [x for x in names if x in _WITNESS], nbr, witnesses)
-            table.entries[name], vals = exact[name]
+                exact = _exact(g, names, witnesses)
+            table.entries[name], found = exact[name]
             if witnesses:
-                table.witnesses[name] = _WITNESS[name](vals)
+                table.witnesses[name] = _WITNESS[name](found)
         elif name == "min_edge_cover" and g.n > 0 and g.has_isolated_vertex():
             table.not_applicable[name] = "graph has an isolated vertex"
         else:

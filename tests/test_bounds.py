@@ -5,7 +5,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
-from idrd import INVARIANT_NAMES, SizeLimitError, bounds, build_graph, idn, idrdn, ir2dn
+from idrd import (
+    INVARIANT_NAMES,
+    SizeLimitError,
+    bounds,
+    build_graph,
+    graph,
+    idn,
+    idrdn,
+    ir2dn,
+    random_tree,
+    solvers,
+)
 from idrd.bounds import (
     _BOUND_INVARIANTS,
     BOUND_NAMES,
@@ -138,6 +149,35 @@ def test_tree_rows_skip_non_trees():
     for name in ("B9", "B10-lower", "B10-upper"):
         assert not table[name].skipped
         assert table[name].holds
+
+
+def _count_walks(monkeypatch):
+    """Count the breadth-first walks of the connectivity test and the tree DPs."""
+    walks = []
+    for module in (graph, solvers):
+        def counted(*args, original=module.bfs):
+            walks.append(args)
+            return original(*args)
+        monkeypatch.setattr(module, "bfs", counted)
+    return walks
+
+
+def test_check_bounds_walks_each_tree_once(monkeypatch):
+    walks = _count_walks(monkeypatch)
+    for seed in range(1, 4):
+        walks.clear()
+        records = by_name(check_bounds(random_tree(18, seed)))
+        assert len(walks) == 1
+        assert not records["B4"].skipped and not records["B9"].skipped
+    # n - 1 edges but disconnected: the one walk also answers connectivity
+    walks.clear()
+    records = by_name(check_bounds(build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])))
+    assert len(walks) == 1
+    assert records["B4"].skip_reason == "graph is disconnected"
+    assert records["B9"].skip_reason == "not a tree"
+    walks.clear()
+    report = fuzz("tree", 18, 25, seed=3)
+    assert len(walks) == report.trials == 25 and not report.violations
 
 
 def test_equality_records_hold_without_tightness():

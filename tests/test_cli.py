@@ -359,6 +359,21 @@ def test_classify_large_trees_ignore_the_size_limit(capsys, monkeypatch):
             "membership": "T_family", "parameters": [31, 15], "ir2dn_minus_idn": 1}
 
 
+def test_classify_walks_its_tree_once(capsys, monkeypatch):
+    walks = []
+    for module in (idrd.graph, idrd.solvers):
+        def counted(*args, original=module.bfs):
+            walks.append(args)
+            return original(*args)
+        monkeypatch.setattr(module, "bfs", counted)
+    for seed in (1, 2):
+        walks.clear()
+        code, out, _ = run(["classify", "--input", "-", "--json"], capsys, monkeypatch,
+                           stdin_text=serialize_edge_list(idrd.random_tree(300, seed)))
+        assert code == 0 and json.loads(out)["payload"]["membership"] == "neither"
+        assert len(walks) == 1
+
+
 def test_classify_domain_errors(capsys, monkeypatch):
     code, _, err = run(
         ["classify", "--input", "-"],

@@ -257,6 +257,19 @@ def test_classify_rejects_non_trees_and_tiny_input():
         classify_tree(path_graph(1))
 
 
+def test_classify_error_messages():
+    for g, message in (
+        (build_graph(0, []), "tree test of an empty graph is undefined"),
+        (cycle_graph(5), "input is not a tree"),
+        (build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]), "input is not a tree"),
+        (path_graph(1), "classification needs order >= 2"),
+    ):
+        for _ in range(2):  # the walk's result is kept on the graph
+            with pytest.raises(DomainError) as error:
+                classify_tree(g)
+            assert str(error.value) == message
+
+
 def test_classify_round_trips_generated_members():
     for k in range(2, 11):
         for j in range((k - 1) // 2 + 1):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,6 +33,7 @@ from idrd import (
     maximal_independent_sets,
     min_edge_cover,
     packing_number,
+    prufer_decode,
     random_graph,
     random_tree,
     tree_idn,
@@ -54,6 +56,8 @@ from idrd.solvers import (
     _solve,
     _threshold,
     _tree_mis_number,
+    _tree_packing,
+    _tree_value,
 )
 
 from conftest import (
@@ -961,6 +965,90 @@ def test_tree_dps_match_the_tree_oracle_at_scale():
     for weak, strong in ((2, 4), (3, 4)):
         assert _tree_mis_number(t, weak, strong) == \
             oracles.tree_labeling(t.n, t.edges, (0, weak, strong), strong, True)
+    t = random_tree(3000, 11)
+    for name in ("gamma", "gamma_r2", "gamma_dr", "i2rdn"):
+        assert _tree_value(t, name) == _tree_oracle(t, name), name
+    assert _tree_packing(t) == _tree_oracle(t, "gamma")
+
+
+# ---------------------------------------------------------------------------
+# value-only requests on trees: the linear-time DPs
+# ---------------------------------------------------------------------------
+
+
+def _check_tree_dps(t, brute_packing=False):
+    for name in _TREE_LABELINGS:
+        assert _tree_value(t, name) == _tree_oracle(t, name), (name, t.edges)
+    # the packing number of a tree is its domination number (Meir & Moon,
+    # Pacific J. Math. 61 (1975)); brute force checks it where it can
+    packing = oracles.brute_packing(t.n, t.edges)[0] if brute_packing else \
+        _tree_oracle(t, "gamma")
+    assert _tree_packing(t) == _tree_value(t, "packing") == packing, t.edges
+
+
+def test_tree_dps_match_the_oracles_on_every_small_labeled_tree():
+    count = 0
+    for n in range(2, 7):
+        for code in product(range(n), repeat=n - 2):
+            _check_tree_dps(prufer_decode(n, code), brute_packing=True)
+            count += 1
+    assert count == 1441
+    _check_tree_dps(build_graph(1, []), brute_packing=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(min_n=1, max_n=40))
+def test_tree_dps_match_the_oracles(t):
+    _check_tree_dps(t)
+
+
+_SEARCH_CORES = ("_neighbor_masks", "_mis_masks", "_threshold", "_packing")
+
+
+def test_value_only_requests_on_trees_take_the_tree_route(monkeypatch):
+    tree = random_tree(18, 5)
+    # a cycle plus a pendant edge, and n - 1 edges that the walk refuses
+    others = (build_graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]),
+              build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)]))
+    expected = {g: compute_invariants(g).entries for g in (tree, *others)}
+    plain = tuple(expected[tree][name] for name in _THRESHOLD)
+    for core in _SEARCH_CORES:
+        def refuse(*args, core=core):
+            raise AssertionError(f"{core} on a value-only tree request")
+        monkeypatch.setattr(solvers, core, refuse)
+    tree = random_tree(18, 5)
+    assert compute_invariants(tree, witnesses=False).entries == expected[tree]
+    assert (domination_number(tree), gamma_r2(tree), gamma_dr(tree)) == plain
+    monkeypatch.undo()
+    calls = []
+    for core in _SEARCH_CORES:
+        def counted(*args, core=core, original=getattr(solvers, core)):
+            calls.append(core)
+            return original(*args)
+        monkeypatch.setattr(solvers, core, counted)
+    # a witness request on the tree, and value-only requests off trees, search
+    for g, witnesses in ((tree, True), (others[0], False), (others[1], False)):
+        calls.clear()
+        assert compute_invariants(g, witnesses=witnesses).entries == expected[g]
+        assert set(calls) == set(_SEARCH_CORES)
+
+
+def test_polynomial_requests_on_trees_walk_nothing(monkeypatch):
+    walks = []
+    monkeypatch.setattr(solvers, "bfs", lambda *args: walks.append(args))
+    t = random_tree(40, 3)
+    table = compute_invariants(t, ["order", "max_degree", "max_matching"], witnesses=False)
+    assert table.entries == {"order": 40, "max_degree": 5, "max_matching": 18}
+    assert walks == [] and t._rooted is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees(min_n=1, max_n=14))
+def test_value_only_tree_entries_are_the_witness_table_entries(t):
+    values, table = compute_invariants(t, witnesses=False), compute_invariants(t)
+    assert list(values.entries.items()) == list(table.entries.items())
+    assert len(values.entries) + len(values.not_applicable) == len(INVARIANT_NAMES)
+    assert values.not_applicable == table.not_applicable
 
 
 # ---------------------------------------------------------------------------
