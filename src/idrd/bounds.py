@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from .graph import Graph, random_graph, random_tree, serialize_edge_list
 from .rng import SplitMix64
-from .solvers import _tree_walk, compute_invariants, resolve_limit
+from .solvers import compute_invariants, resolve_limit
 
 # Every bound record in report order: (name, anchor, applicability, relation).
 _RECORDS = (
@@ -102,10 +102,8 @@ def check_bounds(g: Graph) -> list:
     if g.n == 0:
         raise ValueError("bound checks need at least one vertex")
     table = compute_invariants(g, _BOUND_INVARIANTS, witnesses=False)
-    # the walk the table kept: with n - 1 edges, connected means a tree, and
-    # fewer edges cannot connect n vertices
-    tree = bool(_tree_walk(g))
-    connected = tree or g.m >= g.n and g.is_connected()
+    # one walk, kept on g, answers both (and the tree route of the table)
+    connected, tree = g.is_connected(), g.is_tree()
     tree_reason = None
     if not tree:
         tree_reason = "not a tree"

@@ -67,7 +67,7 @@ class Graph:
             nb.sort()
         self.n, self.m = n, len(canon)
         self.adj = tuple(map(tuple, adj))
-        # edges, and the matching partners and rooted tree kept by the solvers
+        # edges, the walk from vertex 0, and the matching partners kept by the solvers
         self._edges = self._match = self._rooted = None
 
     # -- basic queries ----------------------------------------------------
@@ -122,9 +122,16 @@ class Graph:
     # -- global predicates ------------------------------------------------
 
     def is_connected(self) -> bool:
+        """Whether the breadth-first walk from vertex 0 reaches every vertex.
+        The walk, `bfs(self)`, is made once and kept, for the tree test and
+        the tree DPs to share; fewer than n - 1 edges need no walk."""
         if self.n == 0:
             raise ValueError("connectivity of an empty graph is undefined")
-        return len(bfs(self)[1]) == self.n
+        if self.m < self.n - 1:
+            return False
+        if self._rooted is None:
+            self._rooted = bfs(self)
+        return len(self._rooted[1]) == self.n
 
     def is_tree(self) -> bool:
         if self.n == 0:

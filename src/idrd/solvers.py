@@ -83,14 +83,31 @@ the square graph, by include-first branch and bound (Tarjan & Trojanowski,
 Trees
 -----
 A value-only request (`witnesses` false) on a tree runs none of these
-searches.  The tree test is n − 1 edges, then one walk that reaches every
-vertex, kept on the graph.  Each exponential number is then a linear-time
-min-plus DP over that walk (Telle & Proskurowski, "Algorithms for vertex
-partitioning problems on partial k-trees", SIAM J. Discrete Math. 10
-(1997)): `_tree_mis_number` for i, i_R2 and i_dR, `_tree_rainbow` for
-i_2R, `_tree_packing` for the packing number, and `_tree_threshold`, on
-`_THRESHOLD`'s (labels, k), for γ, γ_R2 and γ_dR.  Witnesses still come
-from the searches, and the size limit is the same for trees.
+searches.  The tree test is n − 1 edges, then the walk from vertex 0 that
+`Graph.is_connected` keeps on the graph.  Every exponential number is then
+one linear-time min-plus DP over that walk (Telle & Proskurowski,
+"Algorithms for vertex partitioning problems on partial k-trees", SIAM J.
+Discrete Math. 10 (1997)), `_tree_mis_number`: labels 0, weak and strong,
+every 0-vertex with one strong neighbor or two positive ones.  With
+independence, (weak, strong) = (1, 1), (1, 2), (2, 3) give i, i_R2, i_dR as
+above; without it, they give γ, γ_R2, γ_dR, the threshold rules of (L, k).
+Two more numbers equal one of these on a tree:
+
+- packing = γ (Meir & Moon, "Relations between packing and covering numbers
+  of a tree", Pacific J. Math. 61 (1975)).
+- i_2R = i_R2.  On any graph, {1,2} → 2 and {1}, {2} → 1 turns an
+  independent 2-rainbow labeling into an independent Roman {2} one of the
+  same weight.  Conversely, give each 2 of an optimal independent Roman {2}
+  labeling {1,2}, and each 1 one color.  A 0-vertex with no 2-neighbor has
+  two or more 1-neighbors, which must not all get the same color.  These
+  neighbor sets, edges of size >= 2 on the 1-vertices, form a Berge-acyclic
+  hypergraph, since a cycle in it would be a cycle in the tree.  So some edge
+  meets the others in at most one vertex and has a private vertex: color
+  the others first, then its private vertices so that it sees both colors.
+
+`_exact` runs the DP once per distinct (weak, strong, independent) row of
+`_TREE_ROWS`.  Witnesses still come from the searches, and the size limit is
+the same for trees.
 
 Exact exponential solvers refuse graphs larger than 24 vertices unless the
 IDRD_SIZE_LIMIT environment variable (a non-negative integer) raises the bar.
@@ -736,42 +753,29 @@ def _edge_cover_edges(g: Graph, matched: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _tree_walk(t: Graph):
-    """(parent, BFS order) of t rooted at 0, the root's parent being n, when t
-    is a tree, else None.  One search is also the tree test: with n - 1
-    edges, t is a tree iff it reaches every vertex.  Its result, () for a
-    non-tree, is kept on t for the DPs and tree tests to share, read only."""
-    if t._rooted is None:
-        t._rooted = ()
-        if t.m == t.n - 1:
-            parent, order = bfs(t)
-            if len(order) == t.n:
-                t._rooted = parent, order
-    return t._rooted or None
-
-
 def _rooted_order(t: Graph) -> tuple[list, list]:
-    """`_tree_walk` of t; ValueError for an empty graph or a non-tree."""
-    if t.n == 0:
-        raise ValueError("tree test of an empty graph is undefined")
-    rooted = _tree_walk(t)
-    if rooted is None:
+    """(parent, BFS order) of the tree t rooted at 0, the root's parent being
+    n: the walk that `Graph.is_connected` keeps, read only.  ValueError for an
+    empty graph (from `Graph.is_tree`) or a non-tree."""
+    if not t.is_tree():
         raise ValueError("input is not a tree")
-    return rooted
+    return t._rooted
 
 
-def _tree_mis_number(t: Graph, weak: int, strong: int) -> int:
-    """min over maximal independent S of weak·|S| + (strong − weak)·|forced(S)|
-    on a tree, by dynamic programming in linear time.
+def _tree_mis_number(t: Graph, weak: int, strong: int, independent: bool) -> int:
+    """Least weight of a labeling of a tree with labels 0, weak and strong in
+    which every 0-vertex has one strong neighbor or two positive ones, and,
+    when `independent`, no two positive vertices are adjacent, by dynamic
+    programming in linear time.  Independent, it is the min over maximal
+    independent S of weak·|S| + (strong − weak)·|forced(S)|.
 
-    Equivalently: positive labels weak or strong on an independent set, and
-    every 0-vertex needs one strong neighbor or two positive ones.  Per
-    vertex, rooted at 0: the cheapest subtree labeling with the vertex weak
-    or strong (its children are 0-vertices that need no strong parent, resp.
-    any 0-vertex), and, with the vertex 0, three running minima over its
-    children -- no positive child (needs a strong parent), exactly one weak
-    child (needs a positive parent), already defended.  Impossible states
-    start at 3n + 3, above the weight of any labeling, and stay above it.
+    Per vertex, rooted at 0: the cheapest subtree labeling with the vertex
+    weak or strong (a 0-child then needs no strong parent, resp. nothing, and
+    a positive child, allowed when not `independent`, needs nothing), and,
+    with the vertex 0, three running minima over its children -- no positive
+    child (needs a strong parent), exactly one weak child (needs a positive
+    parent), already defended.  Impossible states start at 3n + 3, above the
+    weight of any labeling, and stay above it.
     """
     parent, order = _rooted_order(t)
     adj = t.adj
@@ -786,12 +790,14 @@ def _tree_mis_number(t: Graph, weak: int, strong: int) -> int:
                 continue
             w, s, none, zero, dc = state[c]
             state[c] = None
+            ws = s if s < w else w
             if dc < zero:
                 zero = dc
+            if not independent and ws < zero:
+                zero = ws
             below_weak += zero
             below_strong += zero if zero < none else none
             # d = min(d + min(dc, w, s), n1 + min(w, s), n0 + s); n1 = min(n1 + dc, n0 + w)
-            ws = s if s < w else w
             a, b, e = d + (dc if dc < ws else ws), n1 + ws, n0 + s
             d = (a if a < e else e) if a < b else (b if b < e else e)
             a, b = n1 + dc, n0 + w
@@ -802,143 +808,39 @@ def _tree_mis_number(t: Graph, weak: int, strong: int) -> int:
     return (w if w < d else d) if w < s else (s if s < d else d)
 
 
-def _tree_rainbow(t: Graph) -> int:
-    """Independent 2-rainbow domination number of a tree, by dynamic
-    programming in linear time.
-
-    Labels {1}, {2}, {1,2} on an independent set, and every empty vertex
-    sees both colors among its neighbors.  Swapping the colors maps labelings
-    to labelings, so a subtree costs the same with its root {1} as {2}, and
-    with its root empty receiving {1} as {2}.  Per vertex, rooted at 0: the
-    cheapest subtree labeling with the vertex one color (its children empty,
-    receiving the other color from below) or both colors (its children
-    empty), and, with the vertex empty, by what its children send it: no
-    color, one color, both.  Impossible states start at 2n + 1, above the
-    weight of any labeling, and stay above it.
-    """
-    parent, order = _rooted_order(t)
-    adj = t.adj
-    inf = 2 * t.n + 1
-    state = [None] * t.n  # one color, both, empty receiving none, one, both; freed once read
-    for v in reversed(order):
-        up = parent[v]
-        one, both, r0, r1, r2 = 1, 2, 0, inf, inf
-        for c in adj[v]:
-            if c == up:
-                continue
-            p1, p2, e0, e1, e2 = state[c]
-            state[c] = None
-            e = e1 if e1 < e2 else e2
-            one += e
-            both += e0 if e0 < e else e
-            # r2 = min(r2 + min(e2, p1, p2), r1 + min(p1, p2), r0 + p2);
-            # r1 = min(r1 + min(e2, p1), r0 + p1); r0 += e2
-            p = p1 if p1 < p2 else p2
-            a, b, d = r2 + (e2 if e2 < p else p), r1 + p, r0 + p2
-            r2 = (a if a < d else d) if a < b else (b if b < d else d)
-            a, b = r1 + (e2 if e2 < p1 else p1), r0 + p1
-            r1 = a if a < b else b
-            r0 += e2
-        state[v] = (one, both, r0, r1, r2)
-    one, both, _, _, r2 = state[0]
-    return min(one, both, r2)
-
-
-def _tree_packing(t: Graph) -> int:
-    """Packing number of a tree, by dynamic programming in linear time.
-
-    Members lie at distance 3 or more, so a member has no member child or
-    grandchild and a non-member has at most one member child.  Per vertex,
-    rooted at 0: the largest subtree packing with the vertex in it, with it
-    out and no child in it, and with it out (no child or one child in it).
-    """
-    parent, order = _rooted_order(t)
-    adj = t.adj
-    state = [None] * t.n  # in, out with no child in, out; freed once read
-    for v in reversed(order):
-        up = parent[v]
-        inside, free, gain = 1, 0, 0
-        for c in adj[v]:
-            if c == up:
-                continue
-            a, quiet, out = state[c]
-            state[c] = None
-            inside += quiet
-            free += out
-            if a - out > gain:
-                gain = a - out
-        state[v] = (inside, free, free + gain)
-    inside, _, out = state[0]
-    return inside if inside > out else out
-
-
-def _tree_threshold(t: Graph, labels: tuple, k: int) -> int:
-    """Least weight of a labeling of a tree with values in `labels` in which
-    every 0-vertex's neighbors' labels sum to at least k, by dynamic
-    programming in linear time.
-
-    Per vertex, rooted at 0: the cheapest subtree labeling with the vertex
-    labeled x, per positive x (a 0-child then needs k − x from below), and,
-    with the vertex 0, per amount r its children send it, capped at k: first
-    for exactly r, in a min-plus step per child, then for at least r.  A
-    0-child of a 0-vertex needs k from below.  Impossible states start at
-    max(labels)·n + 1, above the weight of any labeling, and stay above it.
-    """
-    parent, order = _rooted_order(t)
-    adj = t.adj
-    positive = [x for x in labels if x]
-    need = [max(k - x, 0) for x in positive]  # what a 0-child of an x-vertex needs from below
-    sums = [[min(r + x, k) for r in range(k + 1)] for x in positive]
-    inf = max(labels) * t.n + 1
-    state = [None] * t.n  # weight per positive label, per amount received at least; freed once read
-    for v in reversed(order):
-        up = parent[v]
-        own = positive[:]
-        zero = [0] + [inf] * k
-        for c in adj[v]:
-            if c == up:
-                continue
-            sent, got = state[c]
-            state[c] = None
-            least = min(sent)
-            for i, r in enumerate(need):
-                own[i] += got[r] if got[r] < least else least
-            step = [w + got[k] for w in zero]
-            for w_c, to in zip(sent, sums):
-                for r, w in enumerate(zero):
-                    if w + w_c < step[to[r]]:
-                        step[to[r]] = w + w_c
-            zero = step
-        for r in range(k - 1, -1, -1):
-            if zero[r + 1] < zero[r]:
-                zero[r] = zero[r + 1]
-        state[v] = (own, zero)
-    own, zero = state[0]
-    return min(*own, zero[k])
+# name -> (weak, strong, independent) of its `_tree_mis_number` on a tree.  The
+# plain numbers are their independent numbers' rows without independence; on
+# a tree, packing is γ and i2rdn is ir2dn (module docstring).
+_TREE_ROWS = {
+    "gamma": (1, 1, False),
+    "idn": (1, 1, True),
+    "gamma_r2": (1, 2, False),
+    "ir2dn": (1, 2, True),
+    "i2rdn": (1, 2, True),
+    "gamma_dr": (2, 3, False),
+    "idrdn": (2, 3, True),
+    "packing": (1, 1, False),
+}
 
 
 def _tree_value(t: Graph, name: str) -> int:
     """The exponential number `name` of the tree t, by its linear-time DP."""
-    if name in _MIS_WEIGHTS:
-        return _tree_mis_number(t, *_MIS_WEIGHTS[name])
-    if name in _THRESHOLD:
-        return _tree_threshold(t, *_THRESHOLD[name][:2])
-    return _tree_rainbow(t) if name == "i2rdn" else _tree_packing(t)
+    return _tree_mis_number(t, *_TREE_ROWS[name])
 
 
 def tree_idn(t: Graph) -> int:
     """Independent domination number of a tree (linear-time DP)."""
-    return _tree_mis_number(t, *_MIS_WEIGHTS["idn"])
+    return _tree_value(t, "idn")
 
 
 def tree_ir2dn(t: Graph) -> int:
     """Independent Roman {2} domination number of a tree (linear-time DP)."""
-    return _tree_mis_number(t, *_MIS_WEIGHTS["ir2dn"])
+    return _tree_value(t, "ir2dn")
 
 
 def tree_idrdn(t: Graph) -> int:
     """Independent double Roman domination number of a tree (linear-time DP)."""
-    return _tree_mis_number(t, *_MIS_WEIGHTS["idrdn"])
+    return _tree_value(t, "idrdn")
 
 
 # ---------------------------------------------------------------------------
@@ -977,11 +879,14 @@ def admit(order: int, which=None) -> list:
 def _exact(g: Graph, names, witnesses: bool) -> dict:
     """(value, witness data) of each requested exponential number: the label
     per vertex, the packing's member bitmask, or None without `witnesses`.
-    A value-only request on a tree takes the tree DPs over its one walk, and
-    builds no neighbor masks; any other request runs the searches."""
+    A value-only request on a tree runs the tree DP once per distinct
+    `_TREE_ROWS` row over its one walk, and builds no neighbor masks; any
+    other request runs the searches."""
     _require_vertices(g)
-    if not witnesses and _tree_walk(g):
-        return {name: (_tree_value(g, name), None) for name in names if name in _EXPONENTIAL}
+    if not witnesses and g.is_tree():
+        rows = {name: _TREE_ROWS[name] for name in names if name in _EXPONENTIAL}
+        values = {row: _tree_mis_number(g, *row) for row in set(rows.values())}
+        return {name: (values[row], None) for name, row in rows.items()}
     nbr = _neighbor_masks(g)
     searched = _EXPONENTIAL.intersection(names) - {"packing"}
     found = _solve(g, names, nbr, witnesses) if searched else {}

@@ -178,6 +178,10 @@ def test_check_bounds_walks_each_tree_once(monkeypatch):
     walks.clear()
     report = fuzz("tree", 18, 25, seed=3)
     assert len(walks) == report.trials == 25 and not report.violations
+    # a connected draw is walked once, by the draw loop and check_bounds together
+    walks.clear()
+    report = fuzz("connected", 18, 20, seed=5)
+    assert len(walks) == report.trials == 20 and not report.violations
 
 
 def test_equality_records_hold_without_tightness():

@@ -40,7 +40,7 @@ from idrd import (
     tree_idrdn,
     tree_ir2dn,
 )
-from idrd import solvers
+from idrd import graph, solvers
 from idrd.graph import bfs
 from idrd.solvers import (
     _ROOT,
@@ -56,7 +56,6 @@ from idrd.solvers import (
     _solve,
     _threshold,
     _tree_mis_number,
-    _tree_packing,
     _tree_value,
 )
 
@@ -902,7 +901,7 @@ def test_tree_dps_share_one_walk(monkeypatch):
         walks.append(args)
         return bfs(*args)
 
-    monkeypatch.setattr(solvers, "bfs", counted_bfs)
+    monkeypatch.setattr(graph, "bfs", counted_bfs)
     # (idrdn, idn, ir2dn) of each tree, pinned
     for seed, values in ((1, (306, 114, 180)), (2, (296, 110, 179)), (3, (304, 113, 180))):
         walks.clear()
@@ -963,12 +962,13 @@ def test_tree_dps_match_the_tree_oracle_at_scale():
         assert tree_dp(t) == _tree_oracle(t, name)
     # other weightings with strong <= 2 * weak: one strong or two positive neighbors
     for weak, strong in ((2, 4), (3, 4)):
-        assert _tree_mis_number(t, weak, strong) == \
-            oracles.tree_labeling(t.n, t.edges, (0, weak, strong), strong, True)
+        for independent in (True, False):
+            assert _tree_mis_number(t, weak, strong, independent) == \
+                oracles.tree_labeling(t.n, t.edges, (0, weak, strong), strong, independent)
     t = random_tree(3000, 11)
     for name in ("gamma", "gamma_r2", "gamma_dr", "i2rdn"):
         assert _tree_value(t, name) == _tree_oracle(t, name), name
-    assert _tree_packing(t) == _tree_oracle(t, "gamma")
+    assert _tree_value(t, "packing") == _tree_oracle(t, "gamma")
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +983,7 @@ def _check_tree_dps(t, brute_packing=False):
     # Pacific J. Math. 61 (1975)); brute force checks it where it can
     packing = oracles.brute_packing(t.n, t.edges)[0] if brute_packing else \
         _tree_oracle(t, "gamma")
-    assert _tree_packing(t) == _tree_value(t, "packing") == packing, t.edges
+    assert _tree_value(t, "packing") == packing, t.edges
 
 
 def test_tree_dps_match_the_oracles_on_every_small_labeled_tree():
@@ -1035,7 +1035,7 @@ def test_value_only_requests_on_trees_take_the_tree_route(monkeypatch):
 
 def test_polynomial_requests_on_trees_walk_nothing(monkeypatch):
     walks = []
-    monkeypatch.setattr(solvers, "bfs", lambda *args: walks.append(args))
+    monkeypatch.setattr(graph, "bfs", lambda *args: walks.append(args))
     t = random_tree(40, 3)
     table = compute_invariants(t, ["order", "max_degree", "max_matching"], witnesses=False)
     assert table.entries == {"order": 40, "max_degree": 5, "max_matching": 18}
