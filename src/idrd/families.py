@@ -25,7 +25,6 @@ that is not a tree, an inadmissible pair) raises DomainError, a ValueError.
 from dataclasses import dataclass
 
 from .graph import Graph, build_graph
-from .solvers import _rooted_order
 
 _SHORT_NAMES = {
     "path": "path",
@@ -268,9 +267,11 @@ def classify_tree(t: Graph) -> TreeClass:
     on (impossible) overlaps by construction order.
     """
     try:
-        _rooted_order(t)  # the tree test, on the walk the tree DPs share
-    except ValueError as error:
+        tree = t.is_tree()  # the tree test, on the walk the tree DPs share
+    except ValueError as error:  # the empty graph
         raise DomainError(str(error)) from None
+    if not tree:
+        raise DomainError("input is not a tree")
     if t.n < 2:
         raise DomainError("classification needs order >= 2")
     t_params = _recognize_center_tree(t)

@@ -183,28 +183,20 @@ def _neighbor_masks(g: Graph) -> list:
     return [sum(1 << u for u in nb) for nb in g.adj]
 
 
-def _mis_masks(adj: tuple):
-    """Yield each maximal independent set of the graph with neighbor tuples
-    `adj` (a `Graph.adj`) once, as a vertex bitmask: pivoting Bron–Kerbosch
-    on the complement (Tomita, Tanaka & Takahashi, Theor. Comput. Sci. 363
-    (2006)) on a stack of (R, P, X) tuples.  P and X are masks over the
-    positions in the vertex order by descending degree, then index; R is in
-    vertex bits.  The pivot is the member of P ∪ X with most nonneighbors in
-    P, ties to the earliest position.  Each candidate gets one child, built
-    with the candidates before it moved from P to X; the children are pushed
-    from the last candidate down, so they pop in ascending position.
-    Isolated vertices, last in the order, are in every set: R starts with
-    them."""
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    at = [0] * n  # vertex -> its position bit
-    for i, v in enumerate(order):
-        at[v] = 1 << i
-    full = (1 << n) - 1
-    nonadj = [full ^ at[v] ^ sum(map(at.__getitem__, adj[v])) for v in order]
-    vertex = [1 << v for v in order]
-    lone = [v for v in order if not adj[v]]
-    stack = [(sum(1 << v for v in lone), full >> len(lone), 0)]
+def _mis_masks(nbr: list):
+    """Yield each maximal independent set of the graph with neighbor masks
+    `nbr` (its `_neighbor_masks`) once, as a vertex bitmask: pivoting
+    Bron–Kerbosch on the complement (Tomita, Tanaka & Takahashi, Theor.
+    Comput. Sci. 363 (2006)) on a stack of (R, P, X) vertex masks.  The pivot
+    is the member of P ∪ X with most nonneighbors in P, ties to the least
+    vertex.  Each candidate gets one child, built with the candidates before
+    it moved from P to X; the children are pushed from the last candidate
+    down, so they pop in ascending vertex order.  Isolated vertices are in
+    every set: R starts with them."""
+    full = (1 << len(nbr)) - 1
+    nonadj = [full ^ (1 << v) ^ nb for v, nb in enumerate(nbr)]
+    lone = sum(1 << v for v, nb in enumerate(nbr) if not nb)
+    stack = [(lone, full ^ lone, 0)]
     while stack:
         r, p, x = stack.pop()
         if not p | x:
@@ -219,15 +211,15 @@ def _mis_masks(adj: tuple):
             m ^= b
         cand = p & ~nonadj[best.bit_length() - 1]
         while cand:  # the last candidate first; cand keeps those before it
-            i = cand.bit_length() - 1
-            cand ^= 1 << i
-            stack.append((r | vertex[i], p & ~cand & nonadj[i], (x | cand) & nonadj[i]))
+            v = cand.bit_length() - 1
+            cand ^= 1 << v
+            stack.append((r | 1 << v, p & ~cand & nonadj[v], (x | cand) & nonadj[v]))
 
 
 def maximal_independent_sets(g: Graph):
     """Yield every maximal independent set of g exactly once, deterministically,
     as frozensets in the order of `_mis_masks`."""
-    for s in _mis_masks(g.adj):
+    for s in _mis_masks(_neighbor_masks(g)):
         yield frozenset(_bits(s))
 
 
@@ -331,7 +323,7 @@ def _mis_pass(g: Graph, names, nbr: list, witnesses: bool) -> dict:
         for name in ("idn", "ir2dn", "i2rdn", "idrdn")
         if name in names
     }
-    for s in _mis_masks(g.adj):
+    for s in _mis_masks(nbr):
         forced = _forced_mask(nbr, s) if need_forced else 0
         size, strong_count = s.bit_count(), forced.bit_count()
         scores = [
@@ -474,26 +466,6 @@ def _first_optimum(ctx: _Context, g: Graph, value: int, vals: list) -> list:
 # ---------------------------------------------------------------------------
 # public exact solvers
 # ---------------------------------------------------------------------------
-
-
-def _solve(g: Graph, names, nbr: list, witnesses: bool = True) -> dict:
-    """(weight, label per vertex) of each requested exact number, with `nbr`
-    the graph's `_neighbor_masks`: one MIS pass for the independent numbers
-    and the incumbents, then the stages of the module docstring per plain
-    number on one `_context`, stage 3 only with `witnesses` (else every label
-    list is None), the floor only when this call computed all its terms."""
-    plain = [name for name in _THRESHOLD if name in names]
-    found = _mis_pass(g, set(names) | {_THRESHOLD[name][2] for name in plain}, nbr, witnesses)
-    for name in plain:
-        labels, k, start, terms = _THRESHOLD[name]
-        floor = sum(found[t][0] for t in terms) if all(t in found for t in terms) else 0
-        weight, _ = found[name] = found[start]
-        if weight > floor:
-            ctx = _context(nbr, labels, k)
-            value, vals = _threshold(ctx, weight, floor)
-            if value < weight:
-                found[name] = (value, _first_optimum(ctx, g, value, vals) if witnesses else None)
-    return found
 
 
 # name -> witness built from the label per vertex (the positive vertices, or a
@@ -753,15 +725,6 @@ def _edge_cover_edges(g: Graph, matched: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _rooted_order(t: Graph) -> tuple[list, list]:
-    """(parent, BFS order) of the tree t rooted at 0, the root's parent being
-    n: the walk that `Graph.is_connected` keeps, read only.  ValueError for an
-    empty graph (from `Graph.is_tree`) or a non-tree."""
-    if not t.is_tree():
-        raise ValueError("input is not a tree")
-    return t._rooted
-
-
 def _tree_mis_number(t: Graph, weak: int, strong: int, independent: bool) -> int:
     """Least weight of a labeling of a tree with labels 0, weak and strong in
     which every 0-vertex has one strong neighbor or two positive ones, and,
@@ -775,9 +738,13 @@ def _tree_mis_number(t: Graph, weak: int, strong: int, independent: bool) -> int
     with the vertex 0, three running minima over its children -- no positive
     child (needs a strong parent), exactly one weak child (needs a positive
     parent), already defended.  Impossible states start at 3n + 3, above the
-    weight of any labeling, and stay above it.
+    weight of any labeling, and stay above it.  The walk is the one that
+    `Graph.is_connected` keeps.  ValueError for an empty graph (from
+    `Graph.is_tree`) or a non-tree.
     """
-    parent, order = _rooted_order(t)
+    if not t.is_tree():
+        raise ValueError("input is not a tree")
+    parent, order = t._rooted
     adj = t.adj
     inf = 3 * t.n + 3
     state = [None] * t.n  # weak, strong, none, one weak, defended; freed once read
@@ -880,16 +847,30 @@ def _exact(g: Graph, names, witnesses: bool) -> dict:
     """(value, witness data) of each requested exponential number: the label
     per vertex, the packing's member bitmask, or None without `witnesses`.
     A value-only request on a tree runs the tree DP once per distinct
-    `_TREE_ROWS` row over its one walk, and builds no neighbor masks; any
-    other request runs the searches."""
+    `_TREE_ROWS` row over its one walk.  Any other request builds the
+    neighbor masks once for every search: one MIS pass for the independent
+    numbers and the incumbents (which the result also holds), the stages of
+    the module docstring per plain number on one `_context` (stage 3 only
+    with `witnesses`, the floor only when this call computed all its terms),
+    then the packing."""
     _require_vertices(g)
     if not witnesses and g.is_tree():
         rows = {name: _TREE_ROWS[name] for name in names if name in _EXPONENTIAL}
         values = {row: _tree_mis_number(g, *row) for row in set(rows.values())}
         return {name: (values[row], None) for name, row in rows.items()}
     nbr = _neighbor_masks(g)
-    searched = _EXPONENTIAL.intersection(names) - {"packing"}
-    found = _solve(g, names, nbr, witnesses) if searched else {}
+    plain = [name for name in _THRESHOLD if name in names]
+    mis = _EXPONENTIAL.intersection(names) - {"packing"} | {_THRESHOLD[name][2] for name in plain}
+    found = _mis_pass(g, mis, nbr, witnesses) if mis else {}
+    for name in plain:
+        labels, k, start, terms = _THRESHOLD[name]
+        floor = sum(found[t][0] for t in terms) if all(t in found for t in terms) else 0
+        weight, _ = found[name] = found[start]
+        if weight > floor:
+            ctx = _context(nbr, labels, k)
+            value, vals = _threshold(ctx, weight, floor)
+            if value < weight:
+                found[name] = (value, _first_optimum(ctx, g, value, vals) if witnesses else None)
     if "packing" in names:
         found["packing"] = _packing(g, nbr)
     return found

@@ -184,24 +184,20 @@ def reference_maximal_independent_sets(n, edges):
     by the recursion the solver's explicit-stack loop replaced.
 
     Pivoting Bron–Kerbosch on the complement (Tomita, Tanaka & Takahashi,
-    Theor. Comput. Sci. 363 (2006)) over the vertices sorted by descending
-    degree, ties by index.  The pivot is the member of P ∪ X with the most
-    nonneighbors in P, ties to the earliest position; the candidates (P minus
-    the pivot's nonneighbors, fixed before the loop) go in ascending position.
+    Theor. Comput. Sci. 363 (2006)) over the vertices in index order.  The
+    pivot is the member of P ∪ X with the most nonneighbors in P, ties to the
+    least vertex; the candidates (P minus the pivot's nonneighbors, fixed
+    before the loop) go in ascending vertex order.
     """
     if n == 0:
         return [frozenset()]
     adj = adjacency(n, edges)
-    order = sorted(range(n), key=lambda v: (-len(adj[v]), v))
-    nonadj = [
-        sum(1 << j for j, u in enumerate(order) if j != i and u not in adj[v])
-        for i, v in enumerate(order)
-    ]
+    nonadj = [sum(1 << u for u in range(n) if u != v and u not in adj[v]) for v in range(n)]
     out = []
 
     def expand(r, p, x):
         if p == 0 and x == 0:
-            out.append(frozenset(order[i] for i in range(n) if (r >> i) & 1))
+            out.append(frozenset(v for v in range(n) if (r >> v) & 1))
             return
         best_i, best_c = -1, -1
         for i in range(n):

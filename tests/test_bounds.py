@@ -1,11 +1,13 @@
 """Bound records on single graphs and the deterministic fuzzer."""
 
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 from idrd import (
+    DEFAULT_SIZE_LIMIT,
     INVARIANT_NAMES,
     SizeLimitError,
     bounds,
@@ -113,6 +115,88 @@ def test_known_sharp_instances():
     table = by_name(check_bounds(generate(FamilySpec("complete_multipartite", (2, 2, 4)))))
     assert table["B6-lower"].lhs == table["B6-lower"].rhs == 4
     assert table["B6-lower"].tight
+
+
+def _members(kind, count, keep=lambda params: True):
+    """Every member of a family kind with `count` parameters up to the guard's
+    default order, optionally filtered on its parameters."""
+    for params in product(range(DEFAULT_SIZE_LIMIT + 1), repeat=count):
+        try:
+            spec = FamilySpec(kind, params)
+        except ValueError:
+            continue
+        if spec.order <= DEFAULT_SIZE_LIMIT and keep(spec.params):
+            yield spec
+
+
+def _multipartite(keep=lambda parts: True):
+    return [spec for count in (2, 3) for spec in _members("complete_multipartite", count, keep)]
+
+
+def test_records_are_sharp_on_whole_families():
+    # equality at every member of each family, at every order the guard allows
+    # (the README's "sharp on" paragraph); 2- and 3-part multipartite graphs
+    stars = list(_members("star", 1))
+    complete = list(_members("complete", 1, lambda p: p[0] >= 2))
+    double_stars = list(_members("double_star", 2))
+    subdivided_stars = list(_members("subdivided_star", 2))
+    subdivided_double_stars = list(_members("subdivided_double_star", 2))
+    coronas = list(_members("corona_of_star", 1))
+    one_part = _multipartite(lambda p: p[0] == 1)
+    wide_parts = _multipartite(lambda p: p[0] >= 2)
+    balanced = list(_members("complete_multipartite", 2, lambda p: p[0] == p[1]))
+    sharp_on = {
+        "B1-lower": stars + one_part,
+        "B1-upper": subdivided_double_stars + wide_parts,
+        "B3": subdivided_double_stars + wide_parts,
+        "B4": [FamilySpec("complete", (1,))] + complete + stars + double_stars + coronas
+        + one_part + wide_parts,
+        "B5": subdivided_double_stars + coronas + balanced,
+        "B6-lower": wide_parts,
+        "B6-upper": stars + one_part,
+        "B7": complete,
+        "B8": complete + stars + one_part,
+        "B9": stars + double_stars + subdivided_stars + subdivided_double_stars + coronas,
+        "B10-lower": stars + double_stars + coronas,
+        "B10-upper": stars,
+    }
+    tight = {}
+    for specs in sharp_on.values():
+        for spec in specs:
+            if spec not in tight:
+                tight[spec] = {r.name for r in check_bounds(generate(spec)) if r.tight}
+    for name, specs in sharp_on.items():
+        assert specs and [spec.text() for spec in specs if name not in tight[spec]] == [], name
+    assert len(tight) == 909
+
+
+# (evaluated, tight) of each record over every labeled graph with 1 <= n <= 5
+_SMALL_GRAPH_COUNTS = {
+    "B1-lower": (1099, 339), "B1-upper": (1099, 123), "B2": (1099, 0),
+    "B3": (1099, 123), "B4": (772, 712), "B5": (814, 79), "B6-lower": (1099, 63),
+    "B6-upper": (1099, 399), "B7": (772, 4), "B8": (1094, 330), "B9": (145, 145),
+    "B10-lower": (145, 85), "B10-upper": (145, 73), "B11": (814, 0), "B12": (1098, 0),
+}
+
+
+def test_every_bound_on_every_small_graph():
+    # all 1099 labeled graphs with 1 <= n <= 5; B12 holds in both directions:
+    # idrdn = 3 exactly on the 284 graphs with a dominating vertex
+    counts = {name: [0, 0] for name in BOUND_NAMES}
+    b12 = [0, 0]
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+            for rec in check_bounds(g):
+                assert rec.holds, (rec.name, n, g.edges)
+                if not rec.skipped:
+                    counts[rec.name][0] += 1
+                    counts[rec.name][1] += rec.tight
+                    if rec.name == "B12":
+                        b12[rec.lhs] += 1
+    assert {name: tuple(c) for name, c in counts.items()} == _SMALL_GRAPH_COUNTS
+    assert b12 == [814, 284]
 
 
 def test_skip_reasons_for_an_edgeless_graph():

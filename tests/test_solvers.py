@@ -47,13 +47,13 @@ from idrd.solvers import (
     _THRESHOLD,
     _bfs_order,
     _context,
+    _exact,
     _first_optimum,
     _fix,
     _forced_mask,
     _matching_partners,
     _neighbor_masks,
     _rainbow_completion,
-    _solve,
     _threshold,
     _tree_mis_number,
     _tree_value,
@@ -96,7 +96,7 @@ def test_mis_enumeration_is_deterministic():
 @settings(max_examples=150, deadline=None)
 @given(graphs(min_n=0, max_n=10))
 def test_mis_enumeration_follows_the_reference_order(g):
-    # The order, not only the set, is the contract: witnesses tie-break on it.
+    # The order, not only the set, is pinned, though witnesses tie-break on the sets.
     got = list(maximal_independent_sets(g))
     assert got == oracles.reference_maximal_independent_sets(g.n, g.edges)
 
@@ -158,13 +158,13 @@ def test_mis_pass_handles_deep_enumerations(monkeypatch):
 
 def test_isolated_vertices_join_every_set_up_front():
     # A path 0-1-2-3-4 plus 3000 isolated vertices has the path's four sets,
-    # in the path's order; isolated vertices once cost a pivot frame each.
+    # in ascending vertex order; isolated vertices once cost a pivot frame each.
     g = build_graph(3005, [(0, 1), (1, 2), (2, 3), (3, 4)])
     start = time.perf_counter()
     got = list(maximal_independent_sets(g))
     assert time.perf_counter() - start < 1.0
     lone = frozenset(range(5, 3005))
-    assert got == [lone | s for s in ({1, 3}, {1, 4}, {0, 2, 4}, {0, 3})]
+    assert got == [lone | s for s in ({0, 2, 4}, {0, 3}, {1, 3}, {1, 4})]
 
 
 def test_rainbow_completion_handles_deep_searches():
@@ -488,7 +488,7 @@ def test_threshold_value_matches_the_witness_search():
     for seed in range(90):
         g = random_graph(6 + seed % 11, (0.1, 0.2, 0.35)[seed // 11 % 3], seed)
         nbr = _neighbor_masks(g)
-        found, order = _solve(g, ["idn", "ir2dn", "idrdn"], nbr), _bfs_order(g)
+        found, order = _exact(g, ["idn", "ir2dn", "idrdn"], True), _bfs_order(g)
         for name, (labels, k, start, _) in _THRESHOLD.items():
             ctx = _context(nbr, labels, k)
             weight = found[start][0]
@@ -532,7 +532,7 @@ def test_plain_witnesses_are_the_first_optimal_labelings(g):
     # the incumbent if it is optimal, else the first optimum in the order of
     # the witness search: BFS order, each vertex taking its labels in turn
     names = ["gamma", "gamma_r2", "gamma_dr"]
-    found, order = _solve(g, names, _neighbor_masks(g)), _bfs_order(g)
+    found, order = _exact(g, names, True), _bfs_order(g)
     for name in names:
         labels, k, start, _ = _THRESHOLD[name]
         first = oracles.first_threshold_labeling(g.n, g.edges, labels, k, order)
@@ -566,14 +566,14 @@ def test_gamma_dr_is_at_least_gamma_r2_plus_gamma(g):
 
 
 def test_floors_do_not_change_the_threshold_searches():
-    # the witness of `_solve` (stage 2 under the γ_R2 + γ floor, every stage-3
+    # the witness of `_exact` (stage 2 under the γ_R2 + γ floor, every stage-3
     # test ended at the value) is what the stage-3 loop makes of the search
     # from the incumbent with no floor
     names = ["gamma", "gamma_r2", "gamma_dr"]
     for seed in range(60):
         g = random_graph(6 + seed % 9, (0.1, 0.2, 0.35)[seed // 9 % 3], seed)
         nbr = _neighbor_masks(g)
-        found, order = _solve(g, names, nbr), _bfs_order(g)
+        found, order = _exact(g, names, True), _bfs_order(g)
         for name in names:
             labels, k, start, _ = _THRESHOLD[name]
             weight, incumbent = found[start]
