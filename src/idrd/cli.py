@@ -1,12 +1,16 @@
 """Command-line front end.
 
-Commands: solve, family, classify, realize, bounds, fuzz.  JSON output
-(--json) is the stable machine contract: a single envelope object
-{schema_version, command, input_digest, payload} serialized with sorted
-keys and no whitespace, so identical inputs give byte-identical output.
-The digest is the SHA-256 of the canonical edge-list text (graph commands)
-or of the canonical parameter text (family/realize/fuzz).  Table output is
-human-oriented and may change.
+Commands: solve, family, classify, realize, bounds, fuzz.  One pipeline:
+solve, bounds and classify read their edge list through `_read_graph`
+(read, parse, the command's pre-build check, build, digest); every command
+returns (exit code, digest, payload, text); and `main` alone writes the
+output, the JSON envelope with --json, else the lines of `text()`, which
+runs only then.  JSON output is the stable machine contract: a single
+envelope object {schema_version, command, input_digest, payload}
+serialized with sorted keys and no whitespace, so identical inputs give
+byte-identical output.  The digest is the SHA-256 of the canonical
+edge-list text (graph commands) or of the canonical parameter text
+(family/realize/fuzz).  Table output is human-oriented and may change.
 
 Exit codes: 0 success; 1 fuzz found violations; 2 input error (unparsable
 or undecodable edge list, unparsable spec text, unknown invariant name, bad
@@ -90,17 +94,9 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit_json(command: str, digest: str, payload) -> None:
-    envelope = {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "input_digest": digest,
-        "payload": payload,
-    }
-    print(json.dumps(envelope, sort_keys=True, separators=(",", ":"), default=_json_default))
-
-
-def _read_edges(path: str) -> tuple[int, list]:
+def _read_graph(path: str, check) -> tuple:
+    """The graph on `path` (- for stdin) and its digest.  `check(n, edges)`
+    runs on the parsed text before the graph is built."""
     if path == "-":
         if sys.stdin is None:  # the process was started with stdin closed
             raise ValueError("standard input is closed")
@@ -108,7 +104,17 @@ def _read_edges(path: str) -> tuple[int, list]:
     else:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return parse_edges(text)
+    n, edges = parse_edges(text)
+    check(n, edges)
+    g = _from_parsed(n, edges)
+    return g, _digest(serialize_edge_list(g))
+
+
+def _not_a_tree(n: int, edges: list) -> None:
+    # Duplicate edge lines only lower the count, so fewer than n - 1 lines
+    # rule out a tree before the graph is built.
+    if n and len(edges) < n - 1:
+        raise DomainError("input is not a tree")
 
 
 def _witness_lines(witness):
@@ -119,32 +125,26 @@ def _witness_lines(witness):
     return ["  members: " + " ".join(str(v) for v in witness)]
 
 
-def _cmd_solve(args) -> int:
-    n, edges = _read_edges(args.input)
+def _cmd_solve(args) -> tuple:
     which = None if args.invariants is None else args.invariants.split(",")
-    admit(n, which)  # before the graph is built
-    g = _from_parsed(n, edges)
+    g, digest = _read_graph(args.input, lambda n, edges: admit(n, which))
     table = compute_invariants(g, which, witnesses=args.witness)
-    digest = _digest(serialize_edge_list(g))
-    payload = {
-        "invariants": table.entries,
-        "not_applicable": table.not_applicable,
-    }
+    payload = {"invariants": table.entries, "not_applicable": table.not_applicable}
     if args.witness:
         payload["witnesses"] = table.witnesses
-    if args.json:
-        _emit_json("solve", digest, payload)
-    else:
+
+    def text():
         for name, value in table.entries.items():
-            print(f"{name} = {value}")
-            if args.witness and name in table.witnesses:
-                print("\n".join(_witness_lines(table.witnesses[name])))
+            yield f"{name} = {value}"
+            if name in table.witnesses:  # empty without --witness
+                yield from _witness_lines(table.witnesses[name])
         for name, reason in table.not_applicable.items():
-            print(f"{name} skipped ({reason})")
-    return EXIT_OK
+            yield f"{name} skipped ({reason})"
+
+    return EXIT_OK, digest, payload, text
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args) -> tuple:
     spec = parse_family_spec(args.spec)
     payload = {"kind": spec.kind, "params": list(spec.params)}
     if args.mode in ("formula", "both"):
@@ -155,118 +155,91 @@ def _cmd_family(args) -> int:
         payload["solver"] = table.entries["idrdn"]
     if args.mode == "both":
         payload["agree"] = payload["formula"] == payload["solver"]
-    digest = _digest(spec.text())
-    if args.json:
-        _emit_json("family", digest, payload)
-    else:
-        print(f"family {spec.text()}")
+
+    def text():
+        yield f"family {spec.text()}"
         for key in ("formula", "solver", "agree"):
             if key in payload:
-                print(f"{key} = {str(payload[key]).lower() if key == 'agree' else payload[key]}")
-    return EXIT_OK
+                yield f"{key} = {str(payload[key]).lower() if key == 'agree' else payload[key]}"
+
+    return EXIT_OK, _digest(spec.text()), payload, text
 
 
-def _cmd_classify(args) -> int:
-    n, edges = _read_edges(args.input)
-    # Duplicate edge lines only lower the count, so fewer than n - 1 lines
-    # rule out a tree before the graph is built.
-    if n and len(edges) < n - 1:
-        raise DomainError("input is not a tree")
-    g = _from_parsed(n, edges)
+def _cmd_classify(args) -> tuple:
+    g, digest = _read_graph(args.input, _not_a_tree)
     result = classify_tree(g)
     diff = tree_ir2dn(g) - tree_idn(g)
-    digest = _digest(serialize_edge_list(g))
     payload = {
         "membership": result.membership,
         "parameters": list(result.parameters) if result.parameters else None,
         "ir2dn_minus_idn": diff,
     }
-    if args.json:
-        _emit_json("classify", digest, payload)
-    else:
-        print(f"membership = {result.membership}")
+
+    def text():
+        yield f"membership = {result.membership}"
         if result.parameters is not None:
-            a, b = result.parameters
             names = ("k", "j") if result.membership == "T_family" else ("r", "s")
-            print(f"{names[0]} = {a}")
-            print(f"{names[1]} = {b}")
-        print(f"ir2dn - idn = {diff}")
-    return EXIT_OK
+            for name, value in zip(names, result.parameters):
+                yield f"{name} = {value}"
+        yield f"ir2dn - idn = {diff}"
+
+    return EXIT_OK, digest, payload, text
 
 
-def _cmd_realize(args) -> int:
+def _cmd_realize(args) -> tuple:
     t = realize(args.a, args.b)
     got_a, got_b = tree_idn(t), tree_idrdn(t)
-    text = serialize_edge_list(t)
+    edge_list = serialize_edge_list(t)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    payload = {
-        "a": args.a,
-        "b": args.b,
-        "order": t.n,
-        "edge_list": text,
-        "idn": got_a,
-        "idrdn": got_b,
-        "verified": got_a == args.a and got_b == args.b,
-    }
-    digest = _digest(f"{args.a} {args.b}")
-    if args.json:
-        _emit_json("realize", digest, payload)
-    else:
-        if args.out:
-            print(f"written {args.out}")
-        else:
-            print(text, end="")
-        print(f"idn = {got_a}")
-        print(f"idrdn = {got_b}")
-        print(f"verified = {str(payload['verified']).lower()}")
-    return EXIT_OK
+            handle.write(edge_list)
+    verified = got_a == args.a and got_b == args.b
+    payload = {"a": args.a, "b": args.b, "order": t.n, "edge_list": edge_list,
+               "idn": got_a, "idrdn": got_b, "verified": verified}
+
+    def text():
+        yield from [f"written {args.out}"] if args.out else edge_list.splitlines()
+        yield f"idn = {got_a}"
+        yield f"idrdn = {got_b}"
+        yield f"verified = {str(verified).lower()}"
+
+    return EXIT_OK, _digest(f"{args.a} {args.b}"), payload, text
 
 
-def _cmd_bounds(args) -> int:
-    n, edges = _read_edges(args.input)
-    admit(n)  # check_bounds reads exponential invariants
-    g = _from_parsed(n, edges)
+def _cmd_bounds(args) -> tuple:
+    # check_bounds reads exponential invariants
+    g, digest = _read_graph(args.input, lambda n, edges: admit(n))
     records = check_bounds(g)
-    digest = _digest(serialize_edge_list(g))
-    if args.json:
-        _emit_json("bounds", digest, {"bounds": [r.to_dict() for r in records]})
-    else:
+
+    def text():
         for r in records:
             if r.skipped:
-                print(f"{r.name:9} skipped ({r.skip_reason})")
+                yield f"{r.name:9} skipped ({r.skip_reason})"
             else:
                 status = "holds" if r.holds else "VIOLATED"
                 extra = ", tight" if r.tight else ""
-                print(
-                    f"{r.name:9} {r.anchor}: {r.lhs} {r.relation} {r.rhs}"
-                    f" [{status}{extra}]"
-                )
-    return EXIT_OK
+                yield f"{r.name:9} {r.anchor}: {r.lhs} {r.relation} {r.rhs} [{status}{extra}]"
+
+    return EXIT_OK, digest, {"bounds": [r.to_dict() for r in records]}, text
 
 
-def _cmd_fuzz(args) -> int:
-    report = fuzz(
-        args.graph_class, args.max_n, args.trials, (args.p_min, args.p_max), args.seed
-    )
-    digest = _digest(
-        f"{args.graph_class} {args.max_n} {args.trials} {args.seed}"
-        f" {args.p_min} {args.p_max}"
-    )
-    if args.json:
-        _emit_json("fuzz", digest, report.to_dict())
-    else:
-        print(f"class = {report.graph_class}")
-        print(f"trials = {report.trials}")
-        print(f"seed = {report.seed}")
-        print(f"violations = {len(report.violations)}")
+def _cmd_fuzz(args) -> tuple:
+    report = fuzz(args.graph_class, args.max_n, args.trials, (args.p_min, args.p_max),
+                  args.seed)
+    digest = _digest(f"{args.graph_class} {args.max_n} {args.trials} {args.seed}"
+                     f" {args.p_min} {args.p_max}")
+
+    def text():
+        yield f"class = {report.graph_class}"
+        yield f"trials = {report.trials}"
+        yield f"seed = {report.seed}"
+        yield f"violations = {len(report.violations)}"
         for edge_list, bound in report.violations:
-            first = edge_list.splitlines()[0]
-            print(f"  {bound} violated on: {first} ...")
+            yield f"  {bound} violated on: {edge_list.splitlines()[0]} ..."
         for name, count in report.tight_counts.items():
-            print(f"tight {name} = {count}")
-    return EXIT_VIOLATIONS if report.violations else EXIT_OK
+            yield f"tight {name} = {count}"
+
+    return (EXIT_VIOLATIONS if report.violations else EXIT_OK), digest, report.to_dict(), text
 
 
 @functools.cache
@@ -339,27 +312,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code.  The command prints into a
-    buffer, written once it has finished (so an OSError it raises concerns
-    its input) and dropped when it raises one of `_EXIT_CODES`.  argparse's
+    """Run one command and return its exit code.  main alone writes command
+    output: the JSON envelope with --json, else the lines of the command's
+    `text()`, which runs only then.  The output goes to a buffer, written
+    once the command has finished (so an OSError it raises concerns its
+    input) and dropped when it raises one of `_EXIT_CODES`.  argparse's
     SystemExit (usage errors, --help) is raised again once its text is out."""
     buffer = io.StringIO()
     try:
         with contextlib.redirect_stdout(buffer):
             args = build_parser().parse_args(argv)
             resolve_limit()  # a bad IDRD_SIZE_LIMIT fails every command
-            code = args.func(args)
+            code, digest, payload, text = args.func(args)
+            if args.json:
+                envelope = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                            "input_digest": digest, "payload": payload}
+                print(json.dumps(envelope, sort_keys=True, separators=(",", ":"),
+                                 default=_json_default))
+            else:
+                for line in text():
+                    print(line)
     except SystemExit as exc:
         code = exc
     except tuple(_EXIT_CODES) as exc:
         kind = next(k for k in type(exc).__mro__ if k in _EXIT_CODES)
         return _error(_EXIT_CODES[kind], str(exc))
-    text = buffer.getvalue()
-    if text:  # empty after an argparse usage error
+    out = buffer.getvalue()
+    if out:  # empty after an argparse usage error
         try:
             if sys.stdout is None:  # the process was started with stdout closed
                 raise OSError("standard output is closed")
-            sys.stdout.write(text)
+            sys.stdout.write(out)
             sys.stdout.flush()  # buffered output fails here, not at interpreter exit
         except OSError as exc:
             return _error(EXIT_INPUT, f"cannot write output: {exc}")

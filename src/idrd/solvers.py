@@ -660,10 +660,9 @@ def _matching_partners(g: Graph) -> tuple:
                         if not used[i]:
                             used[i] = True
                             queue.append(i)
-                    if stamp[cur] == -contractions:
-                        members[cur] = inside
-                    else:
-                        members.setdefault(cur, [cur]).extend(inside)
+                    # cur is outer (matched to its parent, or the root), so no
+                    # mark_path lists it and it keeps its own members
+                    members.setdefault(cur, [cur]).extend(inside)
                 elif p[to] == -1:
                     p[to] = v
                     touched.append(to)

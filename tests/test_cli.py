@@ -103,6 +103,26 @@ def test_solve_witness_output(tmp_path, capsys):
     assert payload["witnesses"]["max_matching"] == [[0, 1], [2, 3]]
 
 
+class _Rendered(Exception):
+    pass
+
+
+def test_json_output_renders_no_table_text(capsys, monkeypatch):
+    # main runs a command's text() only without --json
+    def rendered(self):
+        raise _Rendered
+
+    for labeling in (idrd.DRLabeling, idrd.RainbowLabeling):
+        monkeypatch.setattr(labeling, "witness_text", rendered)
+    text = serialize_edge_list(path_graph(5))
+    code, out, err = run(["solve", "--input", "-", "--witness", "--json"], capsys,
+                         monkeypatch, text)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["payload"]["witnesses"]["idrdn"] == [2, 0, 2, 0, 2]
+    with pytest.raises(_Rendered):  # the patch bites in table form
+        run(["solve", "--input", "-", "--witness"], capsys, monkeypatch, text)
+
+
 def test_solve_marks_inapplicable_invariants(tmp_path, capsys):
     path = graph_file(tmp_path, empty_graph(2))
     code, out, _ = run(["solve", "--input", path], capsys)
@@ -512,6 +532,22 @@ def test_fuzz_json_report(capsys):
     assert set(payload["tight_counts"]) == {
         "B1-lower", "B1-upper", "B2", "B3", "B4", "B5", "B6-lower", "B6-upper",
         "B7", "B8", "B9", "B10-lower", "B10-upper", "B11", "B12"}
+
+
+def test_fuzz_violations_exit_one(capsys, monkeypatch):
+    # B2 is the only "<" record, so only B2 is reported
+    monkeypatch.setitem(idrd.bounds._HOLDS, "<", lambda lhs, rhs: False)
+    violations = idrd.bounds.fuzz("tree", 6, 3, seed=1).violations
+    assert [bound for _, bound in violations] == ["B2"] * 3
+    assert violations[0][0] == "6 5\n0 2\n1 3\n2 4\n3 4\n4 5\n"
+    code, out, err = run(["fuzz", "tree", "6", "3", "--seed", "1"], capsys)
+    assert (code, err) == (1, "")
+    assert "violations = 3" in out.splitlines()
+    assert "  B2 violated on: 6 5 ..." in out.splitlines()
+    code, out, err = run(["fuzz", "tree", "6", "3", "--seed", "1", "--json"], capsys)
+    assert (code, err) == (1, "")
+    payload = json.loads(out)["payload"]
+    assert [(v["edge_list"], v["bound"]) for v in payload["violations"]] == violations
 
 
 def test_fuzz_argument_errors(capsys):

@@ -432,13 +432,17 @@ def test_realize_rejects_inadmissible_pairs():
 
 
 def test_realize_hits_both_targets_everywhere():
-    for a in range(1, 6):
+    # all 820 admissible pairs with a <= 40; the tree is in the T family
+    # exactly when a = 1 or b <= 2a + 2
+    for a in range(1, 41):
         lo, hi = admissible_interval(a)
         for b in range(lo, hi + 1):
             t = realize(a, b)
             assert t.is_tree()
             assert tree_idn(t) == a, (a, b)
             assert tree_idrdn(t) == b, (a, b)
+            expected = "T_family" if a == 1 or b <= 2 * a + 2 else "neither"
+            assert classify_tree(t).membership == expected, (a, b)
 
 
 def test_realize_trees_match_exact_solvers_on_small_pairs():
