@@ -117,10 +117,10 @@ def _not_a_tree(n: int, edges: list) -> None:
         raise DomainError("input is not a tree")
 
 
-def _witness_lines(witness):
+def _witness_lines(name, witness):
     if isinstance(witness, (DRLabeling, RainbowLabeling)):
         return ["  " + line for line in witness.witness_text().splitlines()]
-    if witness and isinstance(witness[0], tuple):
+    if name in ("max_matching", "min_edge_cover"):
         return ["  edges: " + " ".join(f"{u}-{v}" for u, v in witness)]
     return ["  members: " + " ".join(str(v) for v in witness)]
 
@@ -137,7 +137,7 @@ def _cmd_solve(args) -> tuple:
         for name, value in table.entries.items():
             yield f"{name} = {value}"
             if name in table.witnesses:  # empty without --witness
-                yield from _witness_lines(table.witnesses[name])
+                yield from _witness_lines(name, table.witnesses[name])
         for name, reason in table.not_applicable.items():
             yield f"{name} skipped ({reason})"
 

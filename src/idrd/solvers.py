@@ -29,8 +29,13 @@ independent double Roman labeling: a 1-vertex would need a neighbor labeled
 enumerates the sets once and computes forced(S) once per set for every
 requested number.  Every set is an int bitmask over the vertices.  Both
 searches pop tuples from an explicit stack, not Python's recursion, as
-`_threshold` and `_packing` do.  A rainbow completion that could at best tie
-with a set earlier in lexicographic order is not searched: the tie would lose.
+`_threshold` does.  A rainbow completion that could at best tie with a set
+earlier in lexicographic order is not searched: the tie would lose.
+
+The packing number needs no search of its own.  A 2-packing is an independent
+set of the square graph (vertices adjacent when within distance 2), so a
+maximum one is its largest maximal independent set: `_packing` runs the same
+enumeration on the square's masks and breaks ties by `_sorts_before`.
 
 Three stages per threshold number
 ---------------------------------
@@ -75,10 +80,6 @@ independent optimum, and stages 1 and 2 end once it is proven optimal:
    becomes its labeling; else u keeps F's label.  The bound and the
    dominance rule, which relabels only undecided vertices, hold at any node,
    so each test is exact.
-
-The packing number is a third, separate search: a maximum independent set of
-the square graph, by include-first branch and bound (Tarjan & Trojanowski,
-"Finding a maximum independent set", SIAM J. Comput. 6 (1977)).
 
 Trees
 -----
@@ -543,37 +544,20 @@ def packing_number(g: Graph) -> tuple[int, frozenset]:
 
 def _packing(g: Graph, nbr: list) -> tuple[int, int]:
     """(size, member bitmask) of a maximum 2-packing, with `nbr` the graph's
-    `_neighbor_masks`.
-
-    A set is a packing iff no two members are within distance 2, so this is a
-    maximum independent set of the square graph, found by the include-first
-    branch and bound of Tarjan & Trojanowski ("Finding a maximum independent
-    set", SIAM J. Comput. 6 (1977)) on an explicit stack: vertices in
-    ascending order, a branch cut when its size plus its candidates cannot
-    beat the best, the best replaced only by a strictly larger set.  Two
-    maximum sets are never prefixes of each other, so the search meets them
-    in lexicographic order, and the members are the lexicographically
-    smallest maximum packing.
-    """
-    closed = [nb | (1 << v) for v, nb in enumerate(nbr)]
-    reach = []  # reach[v]: the vertices within distance 2 of v, v included
+    `_neighbor_masks`: the largest maximal independent set of the square graph
+    (no two members within distance 2), ties to the set that `_sorts_before`
+    the others, so the lexicographically smallest maximum packing."""
+    square = []  # square[v]: the vertices within distance 2 of v, v excluded
     for v, nb in enumerate(g.adj):
-        within_two = closed[v]
+        within_two = nbr[v]
         for u in nb:
-            within_two |= closed[u]
-        reach.append(within_two)
+            within_two |= nbr[u]
+        square.append(within_two & ~(1 << v))
     best_size, best = 0, 0
-    stack = [(0, 0, (1 << g.n) - 1)]  # (size, members, candidates)
-    while stack:
-        size, members, cand = stack.pop()
-        if size + cand.bit_count() <= best_size:
-            continue
-        if not cand:
-            best_size, best = size, members
-            continue
-        b = cand & -cand
-        stack.append((size, members, cand ^ b))
-        stack.append((size + 1, members | b, cand & ~reach[b.bit_length() - 1]))
+    for s in _mis_masks(square):
+        size = s.bit_count()
+        if size > best_size or size == best_size and _sorts_before(s, best):
+            best_size, best = size, s
     return best_size, best
 
 

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import idrd
 from idrd import build_graph, serialize_edge_list
-from idrd.cli import build_parser, main
+from idrd.cli import _json_default, build_parser, main
 from idrd.families import generate, parse_family_spec
 
 from conftest import cycle_graph, empty_graph, path_graph
@@ -89,6 +89,12 @@ def test_solve_json_is_byte_identical_across_runs(tmp_path, capsys):
     assert "\n" == first[-1] and first.count("\n") == 1
 
 
+def test_json_default_rejects_other_types():
+    assert _json_default(frozenset((2, 1))) == [1, 2]
+    with pytest.raises(TypeError, match="Graph is not JSON serializable"):
+        _json_default(path_graph(3))
+
+
 def test_solve_witness_output(tmp_path, capsys):
     path = graph_file(tmp_path, cycle_graph(4))
     code, out, _ = run(
@@ -101,6 +107,14 @@ def test_solve_witness_output(tmp_path, capsys):
     payload = json.loads(out)["payload"]
     assert payload["witnesses"]["idn"] == [0, 2]
     assert payload["witnesses"]["max_matching"] == [[0, 1], [2, 3]]
+
+
+@pytest.mark.parametrize("text", ["3 0\n", "1 0\n"])
+def test_empty_matching_is_listed_as_edges(capsys, monkeypatch, text):
+    code, out, _ = run(["solve", "--input", "-", "--witness"], capsys, monkeypatch, text)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("max_matching = 0") + 1] == "  edges: "
 
 
 class _Rendered(Exception):
@@ -821,6 +835,9 @@ def test_package_runs_as_a_module():
     assert envelope["command"] == "solve"
     assert envelope["input_digest"] == sha(text)
     assert envelope["payload"]["invariants"]["idrdn"] == 8
+    proc = subprocess.run([sys.executable, "-m", "idrd.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0 and proc.stdout.startswith("usage:"), proc.stderr
 
 
 def _golden_solve_inputs():

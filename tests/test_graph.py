@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from idrd import (
     EdgeListParseError,
     Graph,
+    SplitMix64,
     build_graph,
     parse_edge_list,
     prufer_decode,
@@ -166,6 +167,7 @@ def test_equality_and_hash():
     assert hash(a) == hash(b)
     assert a != c
     assert len({a, b, c}) == 2
+    assert a.__eq__(a.edges) is NotImplemented
 
 
 def test_serialize_golden():
@@ -225,6 +227,11 @@ def test_random_graph_pinned_fixture():
 def test_random_graph_is_deterministic_in_the_seed():
     assert random_graph(9, 0.5, 7) == random_graph(9, 0.5, 7)
     assert random_graph(9, 0.5, 7) != random_graph(9, 0.5, 8)
+
+
+def test_splitmix_below_needs_a_positive_bound():
+    with pytest.raises(ValueError, match="positive"):
+        SplitMix64(1).below(0)
 
 
 def test_random_graph_probability_extremes():

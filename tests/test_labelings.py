@@ -56,6 +56,7 @@ def test_rainbow_labeling_basics():
     assert f.positive_vertices() == frozenset({0, 2})
     assert f.witness_text() == "0 {1}\n1 {}\n2 {1,2}\n"
     assert f == RainbowLabeling([frozenset({1}), frozenset(), {2, 1}])
+    assert repr(f) == "RainbowLabeling([{1}, set(), {1, 2}])"
     with pytest.raises(ValueError, match="not a subset"):
         RainbowLabeling([{3}])
 

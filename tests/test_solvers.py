@@ -257,6 +257,8 @@ def test_gamma_solvers_match_brute(g):
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=7))
+# the path 4-0-2-1-3, where the maximum packings (0, 3), (1, 4) and (3, 4) tie
+@example(g=build_graph(5, [(0, 2), (0, 4), (1, 2), (1, 3)]))
 def test_packing_matches_brute(g):
     value, witness = packing_number(g)
     # the witness is the lexicographically smallest maximum packing
