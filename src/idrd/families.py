@@ -5,7 +5,7 @@ Canonical vertex numbering (fixed so generated graphs are stable):
 
 * path/cycle/complete: vertices 0..n-1, path and cycle edges consecutive.
 * complete_multipartite: parts occupy consecutive blocks in the given
-  (ascending) order; edges join all pairs from different blocks.
+  (ascending) order; every pair of vertices in different parts is an edge.
 * star s: center 0, leaves 1..s.
 * double_star r,s: centers 0 and 1 joined by an edge; leaves 2..r+1 on
   center 0, leaves r+2..r+s+1 on center 1.
@@ -18,33 +18,59 @@ Canonical vertex numbering (fixed so generated graphs are stable):
 * corona_of_star t: star center 0 with leaves 1..t, plus one pendant
   t+1+v attached to each star vertex v.  Final order 2t+2.
 
+`_KINDS` holds what each kind's spec needs: its alias, parameter count,
+checks and order; a new family is one row there plus its `generate` branch.
+
 A well-formed request outside a routine's domain (no closed form, a graph
 that is not a tree, an inadmissible pair) raises DomainError, a ValueError.
 """
 
+import operator
 from dataclasses import dataclass
 
 from .graph import Graph, build_graph
 
-_SHORT_NAMES = {
-    "path": "path",
-    "cycle": "cycle",
-    "complete": "complete",
-    "kpartite": "complete_multipartite",
-    "star": "star",
-    "doublestar": "double_star",
-    "subdivstar": "subdivided_star",
-    "subdivdoublestar": "subdivided_double_star",
-    "coronastar": "corona_of_star",
-}
+_BAD = "invalid {kind} parameters {params}: "
 
-_ALIAS_OF = {kind: alias for alias, kind in _SHORT_NAMES.items()}
+# One row per kind, in KINDS order: CLI alias, kind, parameter count (None: as
+# many as the checks accept), the (condition, message) checks the parameters
+# must pass in turn, and the order of the generated graph.
+_KINDS = (
+    ("path", "path", 1, [(lambda n: n >= 1, _BAD + "order must be >= 1")], lambda n: n),
+    ("cycle", "cycle", 1, [(lambda n: n >= 3, _BAD + "order must be >= 3")], lambda n: n),
+    ("complete", "complete", 1, [(lambda n: n >= 1, _BAD + "order must be >= 1")], lambda n: n),
+    ("kpartite", "complete_multipartite", None, [
+        (lambda *m: len(m) >= 2, "{kind} takes at least 2 part sizes"),
+        (lambda *m: min(m) >= 1, "part sizes must be >= 1"),
+        (lambda *m: list(m) == sorted(m), "part sizes must be sorted ascending"),
+    ], lambda *m: sum(m)),
+    ("star", "star", 1, [(lambda s: s >= 1, _BAD + "leaf count must be >= 1")], lambda s: s + 1),
+    ("doublestar", "double_star", 2,
+     [(lambda r, s: 1 <= r <= s, _BAD + "needs 1 <= r <= s")], lambda r, s: r + s + 2),
+    ("subdivstar", "subdivided_star", 2,
+     [(lambda k, j: k >= 2 and k >= 2 * j + 1, _BAD + "needs k >= 2 and k >= 2j+1")],
+     lambda k, j: k),
+    ("subdivdoublestar", "subdivided_double_star", 2,
+     [(lambda r, s: 1 <= r <= s, _BAD + "needs 1 <= r <= s")], lambda r, s: 2 * (r + s) + 3),
+    ("coronastar", "corona_of_star", 1,
+     [(lambda t: t >= 1, _BAD + "star size must be >= 1")], lambda t: 2 * t + 2),
+)
 
-KINDS = tuple(_SHORT_NAMES.values())
+_ROW = {name: row for row in _KINDS for name in row[:2]}  # by alias and by kind
+
+KINDS = tuple(row[1] for row in _KINDS)
 
 
 class DomainError(ValueError):
     """A well-formed request that lies outside the routine's domain."""
+
+
+def _integers(values, what: str) -> tuple:
+    """values as ints, read as `Graph` reads them: a float or a string is a ValueError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} {values!r} must be integers") from None
 
 
 @dataclass(frozen=True)
@@ -55,58 +81,28 @@ class FamilySpec:
     params: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(int(x) for x in self.params))
-        kind, params = self.kind, self.params
+        kind, params = self.kind, _integers(self.params, "family parameters")
+        object.__setattr__(self, "params", params)
         if kind not in KINDS:
             raise ValueError(f"unknown family kind {kind!r}")
         if any(x < 0 for x in params):
             raise ValueError("family parameters must be non-negative integers")
-
-        if kind == "complete_multipartite":
-            if len(params) < 2:
-                raise ValueError("complete_multipartite takes at least 2 part sizes")
-            if any(x < 1 for x in params):
-                raise ValueError("part sizes must be >= 1")
-            if list(params) != sorted(params):
-                raise ValueError("part sizes must be sorted ascending")
-            return
-        # the count comes first: the conditions below read the parameters
-        count = 2 if kind in ("double_star", "subdivided_star", "subdivided_double_star") else 1
-        if len(params) != count:
+        count, checks = _ROW[kind][2:4]
+        # the count comes first: the checks read the parameters
+        if count is not None and len(params) != count:
             raise ValueError(f"{kind} takes {count} parameter(s)")
-
-        def need(cond, msg):
-            if not cond:
-                raise ValueError(f"invalid {kind} parameters {params}: {msg}")
-
-        if kind in ("path", "complete"):
-            need(params[0] >= 1, "order must be >= 1")
-        elif kind == "cycle":
-            need(params[0] >= 3, "order must be >= 3")
-        elif kind == "star":
-            need(params[0] >= 1, "leaf count must be >= 1")
-        elif kind in ("double_star", "subdivided_double_star"):
-            need(1 <= params[0] <= params[1], "needs 1 <= r <= s")
-        elif kind == "subdivided_star":
-            need(params[0] >= 2 and params[0] >= 2 * params[1] + 1, "needs k >= 2 and k >= 2j+1")
-        elif kind == "corona_of_star":
-            need(params[0] >= 1, "star size must be >= 1")
+        for holds, message in checks:
+            if not holds(*params):
+                raise ValueError(message.format(kind=kind, params=params))
 
     @property
     def order(self) -> int:
         """Vertex count of generate(self), without building the graph."""
-        p = self.params
-        return {
-            "complete_multipartite": sum(p),
-            "star": p[0] + 1,
-            "double_star": sum(p) + 2,
-            "subdivided_double_star": 2 * sum(p) + 3,
-            "corona_of_star": 2 * p[0] + 2,
-        }.get(self.kind, p[0])
+        return _ROW[self.kind][4](*self.params)
 
     def text(self) -> str:
         """Canonical short textual form, e.g. 'kpartite:2,2,5'."""
-        return f"{_ALIAS_OF[self.kind]}:{','.join(str(x) for x in self.params)}"
+        return f"{_ROW[self.kind][0]}:{','.join(str(x) for x in self.params)}"
 
 
 def parse_family_spec(text: str) -> FamilySpec:
@@ -116,14 +112,13 @@ def parse_family_spec(text: str) -> FamilySpec:
         raise ValueError(f"family spec {text!r} must look like 'kind:p1,p2,...'")
     head, _, tail = text.partition(":")
     head = head.strip().lower()
-    kind = _SHORT_NAMES.get(head, head)
-    if kind not in KINDS:
+    if head not in _ROW:
         raise ValueError(f"unknown family kind {head!r}")
     try:
         params = tuple(int(x.strip()) for x in tail.split(","))
     except ValueError:
         raise ValueError(f"family parameters in {text!r} must be integers") from None
-    return FamilySpec(kind, params)
+    return FamilySpec(_ROW[head][1], params)
 
 
 def generate(spec: FamilySpec) -> Graph:
@@ -136,15 +131,8 @@ def generate(spec: FamilySpec) -> Graph:
     if kind == "complete":
         return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
     if kind == "complete_multipartite":
-        block = []
-        start = 0
-        for m in params:
-            block.append(range(start, start + m))
-            start += m
-        edges = []
-        for a in range(len(params)):
-            for b in range(a + 1, len(params)):
-                edges.extend((u, v) for u in block[a] for v in block[b])
+        part = [i for i, m in enumerate(params) for _ in range(m)]
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]]
         return build_graph(n, edges)
     if kind == "star":
         return build_graph(n, [(0, i) for i in range(1, n)])
@@ -296,6 +284,7 @@ def realize(a: int, b: int) -> Graph:
     of the star on a vertices; otherwise the star with a subdivided
     branches where b-(2a+2) branches get one extra leaf behind the leaf.
     """
+    a, b = _integers((a, b), "realize arguments")
     lo, hi = admissible_interval(a)
     if a < 1 or not (lo <= b <= hi):
         raise DomainError(

@@ -9,6 +9,7 @@ Text is validated once, by `parse_edges`, which emits (min, max) pairs that
 the graph is built from unchecked; `Graph(n, edges)` validates Python pairs.
 """
 
+import heapq
 import operator
 
 from .rng import SplitMix64
@@ -256,8 +257,7 @@ def random_tree(n: int, seed: int) -> Graph:
     """Uniform random labeled tree on n vertices via a Prüfer sequence.
 
     The sequence of length n-2 is drawn from SplitMix64(seed) with
-    `below(n)`; decoding attaches each sequence element to the smallest
-    remaining leaf, then joins the last two leaves.
+    `below(n)` and decoded by `prufer_decode`.
     """
     if n < 1:
         raise ValueError("a tree needs at least one vertex")
@@ -269,7 +269,9 @@ def random_tree(n: int, seed: int) -> Graph:
 
 
 def prufer_decode(n: int, prufer) -> Graph:
-    """Tree on n vertices encoded by a Prüfer sequence of length n-2."""
+    """Tree on n vertices encoded by a Prüfer sequence of length n-2: each
+    element in turn is joined to the smallest remaining leaf, popped from a
+    heap, and the last two vertices are joined."""
     prufer = list(prufer)
     if n < 2 or len(prufer) != n - 2:
         raise ValueError("sequence length must be n-2 with n >= 2")
@@ -278,23 +280,12 @@ def prufer_decode(n: int, prufer) -> Graph:
     degree = [1] * n
     for x in prufer:
         degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]  # ascending, so already a heap
     edges = []
-    # `ptr` sweeps for the smallest leaf; `leaf` may drop below ptr when a
-    # removal re-exposes an earlier vertex.
-    ptr = 0
-    while degree[ptr] != 1:
-        ptr += 1
-    leaf = ptr
     for x in prufer:
-        edges.append((leaf, x))
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    # vertex n-1 is never consumed inside the loop, so it is the final partner
-    edges.append((leaf, n - 1))
+        if degree[x] == 1:  # x has no later occurrence: a leaf now
+            heapq.heappush(leaves, x)
+    edges.append(tuple(leaves))
     return Graph(n, edges)

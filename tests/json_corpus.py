@@ -66,6 +66,11 @@ FAMILY_SPECS = (
     "path:7", "cycle:9", "complete:4", "kpartite:2,2,5", "kpartite:3,2", "star:6",
     "doublestar:2,3", "subdivstar:4", "subdivstar:3,2", "subdivdoublestar:2,2",
     "coronastar:3", "wheel:5", "path", "path:x", "path:-1", "cycle:2", "path:30",
+    # one spec per message of the kind table: each kind's count and checks
+    "path:0", "complete:0", "complete:1", "star:0", "doublestar:2,1", "doublestar:1",
+    "subdivdoublestar:0,2", "coronastar:0", "coronastar:1,2", "kpartite:4", "kpartite:0,2",
+    "kpartite:1,1,1,1", "path:3,4", "cycle:3,4", "complete:2,2", "star:1,2",
+    "subdivdoublestar:1", "kpartite:2,0",
 )
 
 REALIZE_PAIRS = ((1, 3), (2, 5), (3, 8), (4, 12), (5, 16), (2, 7), (3, 6), (0, 0), (40, 100))

@@ -414,3 +414,17 @@ def tree_family(n, edges):
             if tree_certificate(n, sub) == cert:
                 return ("F_family", (r, s))
     return ("neither", None)
+
+
+def prufer_tree(n, code):
+    """Sorted edges of the labeled tree with Prüfer code `code`, n >= 2, by
+    the definition: remove the smallest leaf, that is the smallest vertex
+    left that does not occur in the rest of the code, and join it to the
+    code's next element; at the end join the last two vertices."""
+    left, code, edges = set(range(n)), list(code), []
+    while code:
+        leaf = min(left - set(code))
+        edges.append(tuple(sorted((leaf, code.pop(0)))))
+        left.remove(leaf)
+    edges.append(tuple(sorted(left)))
+    return sorted(edges)

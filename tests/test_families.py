@@ -2,6 +2,7 @@
 
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -110,6 +111,53 @@ def test_spec_validation():
     for kind in KINDS:
         with pytest.raises(ValueError):
             FamilySpec(kind, ())
+    # one parameter too few or too many gets the message naming the kind's count
+    counts = {"path": 1, "cycle": 1, "complete": 1, "star": 1, "double_star": 2,
+              "subdivided_star": 2, "subdivided_double_star": 2, "corona_of_star": 1}
+    assert set(counts) == set(KINDS) - {"complete_multipartite"}
+    for kind, count in counts.items():
+        for wrong in (count - 1, count + 1):
+            with pytest.raises(ValueError, match=rf"^{kind} takes {count} parameter\(s\)$"):
+                FamilySpec(kind, (1,) * wrong)
+    for wrong in ((), (1,)):
+        with pytest.raises(ValueError, match="^complete_multipartite takes at least 2 part sizes$"):
+            FamilySpec("complete_multipartite", wrong)
+    # precedence: kind, sign, count, then the checks in their order
+    for kind, params, message in [
+        ("wheel", (-1,), "unknown family kind"),
+        ("path", (-1, 2), "non-negative"),
+        ("complete_multipartite", (0,), "at least 2 part sizes"),
+        ("complete_multipartite", (2, 0), "part sizes must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            FamilySpec(kind, params)
+
+
+def test_non_integer_parameters_are_value_errors_not_truncations():
+    # read as Graph reads its input: a float, a string or None is not an integer
+    for call, args in [
+        (FamilySpec, ("path", (2.5,))),
+        (FamilySpec, ("star", ("4",))),
+        (FamilySpec, ("double_star", (1, None))),
+        (realize, (2.5, 6)),
+        (realize, (2, "5")),
+    ]:
+        with pytest.raises(ValueError, match="must be integers") as exc:
+            call(*args)
+        assert type(exc.value) is ValueError, (call, args)
+    assert FamilySpec("path", [3]).params == (3,)
+
+
+def test_readme_families_table_is_the_kind_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Families", 1)[1].split("\n#", 1)[0]
+    rows = [
+        tuple(cell.strip().strip("`") for cell in line.split("|")[1:3])
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert [(alias.split(":")[0], kind) for alias, kind in rows] == [
+        row[:2] for row in families._KINDS]
 
 
 # ---------------------------------------------------------------------------

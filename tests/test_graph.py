@@ -1,6 +1,7 @@
 """Graph construction, serialization, and random generation."""
 
 import tracemalloc
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,8 @@ from idrd import (
 from idrd.graph import bfs, parse_edges
 
 from conftest import complete_graph, cycle_graph, empty_graph, graphs, path_graph, trees
+
+from oracles import prufer_tree
 
 
 def test_edges_are_normalized_deduplicated_and_sorted():
@@ -263,6 +266,16 @@ def test_prufer_decode_golden_codes():
     assert prufer_decode(3, [2]).edges == ((0, 2), (1, 2))
     assert prufer_decode(4, [3, 3]).edges == ((0, 3), (1, 3), (2, 3))
     assert prufer_decode(4, [1, 0]).edges == ((0, 1), (0, 3), (1, 2))
+
+
+def test_prufer_decode_is_the_definition_on_every_short_code():
+    # all 18 248 codes with 2 <= n <= 7: 1 + 3 + 16 + 125 + 1296 + 16807
+    codes = 0
+    for n in range(2, 8):
+        for code in product(range(n), repeat=n - 2):
+            assert list(prufer_decode(n, code).edges) == prufer_tree(n, code), (n, code)
+            codes += 1
+    assert codes == 18248
 
 
 def test_prufer_decode_errors():
